@@ -1,19 +1,19 @@
 //! F1 — counting-engine scaling on FPT-family queries, and P1 — the
-//! sequential-vs-parallel comparison.
+//! sequential-vs-sharded comparison.
 //!
 //! Regenerates the engine-comparison series of EXPERIMENTS.md: counting
 //! time versus structure size for a fixed bounded-treewidth query, per
 //! engine (brute force / relational algebra / #Hom-DP / FPT), plus the
-//! `fpt` vs `fpt-par` and `brute-force` vs `brute-par` series at 1, 2,
-//! and 4 worker threads (the one-thread parallel engines *are* the
-//! sequential algorithms — their bars measure pool overhead).
+//! `fpt` and `brute-force` engines sharded across 1, 2, and 4 worker
+//! threads (one worker *is* the sequential algorithm — those bars
+//! measure the call path's overhead).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use epq_bench::pp_of;
 use epq_counting::engines::{
-    BruteForceEngine, FptEngine, HomDpEngine, ParBruteForceEngine, ParFptEngine, PpCountingEngine,
-    RelalgEngine,
+    BruteForceEngine, FptEngine, HomDpEngine, PpCountingEngine, RelalgEngine,
 };
+use epq_logic::Query;
 use epq_workloads::{data, queries};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -64,64 +64,58 @@ fn engines_on_free_path(c: &mut Criterion) {
     group.finish();
 }
 
-fn parallel_vs_sequential_fpt(c: &mut Criterion) {
-    // P1: the FPT engine against its work-sharded variant on the
-    // largest F1 structure sizes. Expect ~linear scaling in threads on
-    // multi-core runners; counts are asserted identical up front.
-    let query = queries::quantified_path_query(3);
-    let pp = pp_of(&query);
-    let mut group = c.benchmark_group("P1/qpath3-par");
+/// P1: `engine` on one worker against the same engine sharded across
+/// 1, 2 and 4 workers, on random digraphs of each size (seeded with
+/// `seed + n`). Counts are asserted identical before timing starts.
+fn sharded_vs_sequential(
+    c: &mut Criterion,
+    group: &str,
+    engine: &dyn PpCountingEngine,
+    query: &Query,
+    (sizes, seed, density): (&[usize], u64, f64),
+) {
+    let pp = pp_of(query);
+    let mut group = c.benchmark_group(group);
     group.sample_size(10);
-    for n in [64usize, 96] {
-        let b = data::random_digraph(&mut StdRng::seed_from_u64(n as u64), n, 0.08);
-        let sequential = FptEngine.count(&pp, &b);
-        group.bench_with_input(BenchmarkId::new("fpt", n), &n, |bencher, _| {
-            bencher.iter(|| FptEngine.count(&pp, &b));
+    for &n in sizes {
+        let b = data::random_digraph(&mut StdRng::seed_from_u64(seed + n as u64), n, density);
+        let sequential = engine.count(&pp, &b);
+        group.bench_with_input(BenchmarkId::new(engine.name(), n), &n, |bencher, _| {
+            bencher.iter(|| engine.count(&pp, &b));
         });
         for threads in [1usize, 2, 4] {
-            let engine = ParFptEngine::new(threads);
+            let name = format!("{}/{threads}t", engine.name());
             assert_eq!(
-                engine.count(&pp, &b),
+                engine.count_threads(&pp, &b, threads),
                 sequential,
-                "fpt-par/{threads} on {n}"
+                "{name} on {n}"
             );
-            let id = BenchmarkId::new(format!("fpt-par/{threads}t"), n);
-            group.bench_with_input(id, &n, |bencher, _| {
-                bencher.iter(|| engine.count(&pp, &b));
+            group.bench_with_input(BenchmarkId::new(name, n), &n, |bencher, _| {
+                bencher.iter(|| engine.count_threads(&pp, &b, threads));
             });
         }
     }
     group.finish();
 }
 
+fn parallel_vs_sequential_fpt(c: &mut Criterion) {
+    // The largest F1 structure sizes. Expect ~linear scaling in threads
+    // on multi-core runners.
+    let query = queries::quantified_path_query(3);
+    sharded_vs_sequential(c, "P1/qpath3-par", &FptEngine, &query, (&[64, 96], 0, 0.08));
+}
+
 fn parallel_vs_sequential_brute(c: &mut Criterion) {
-    // P1: the brute enumerator against its range-sharded variant. The
-    // assignment sweep is embarrassingly parallel, so this series is
-    // the cleanest speedup readout.
+    // The assignment sweep is embarrassingly parallel, so this series
+    // is the cleanest speedup readout.
     let query = queries::path_query(2);
-    let pp = pp_of(&query);
-    let mut group = c.benchmark_group("P1/path2-brute-par");
-    group.sample_size(10);
-    for n in [16usize, 24] {
-        let b = data::random_digraph(&mut StdRng::seed_from_u64(7 + n as u64), n, 0.1);
-        let sequential = BruteForceEngine.count(&pp, &b);
-        group.bench_with_input(BenchmarkId::new("brute-force", n), &n, |bencher, _| {
-            bencher.iter(|| BruteForceEngine.count(&pp, &b));
-        });
-        for threads in [1usize, 2, 4] {
-            let engine = ParBruteForceEngine::new(threads);
-            assert_eq!(
-                engine.count(&pp, &b),
-                sequential,
-                "brute-par/{threads} on {n}"
-            );
-            let id = BenchmarkId::new(format!("brute-par/{threads}t"), n);
-            group.bench_with_input(id, &n, |bencher, _| {
-                bencher.iter(|| engine.count(&pp, &b));
-            });
-        }
-    }
-    group.finish();
+    sharded_vs_sequential(
+        c,
+        "P1/path2-brute-par",
+        &BruteForceEngine,
+        &query,
+        (&[16, 24], 7, 0.1),
+    );
 }
 
 criterion_group!(

@@ -22,7 +22,7 @@ fn join_layouts(c: &mut Criterion) {
         let naive_r = NaiveRelation::new(rs, rr);
         let naive_s = NaiveRelation::new(ss, sr);
         group.bench_with_input(BenchmarkId::new("flat", n), &n, |b, _| {
-            b.iter(|| flat_r.join(&flat_s));
+            b.iter(|| flat_r.join(&flat_s, 1));
         });
         group.bench_with_input(BenchmarkId::new("naive", n), &n, |b, _| {
             b.iter(|| naive_r.join(&naive_s));

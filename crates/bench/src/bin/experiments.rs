@@ -1,6 +1,6 @@
 //! Regenerates every table and series recorded in `EXPERIMENTS.md`
 //! (ids `T1`, `E1`–`E6`, `F1`–`F4`, `A1`–`A3`), plus the CI
-//! bench-smoke gates: `P1` (parallel engines vs sequential; writes
+//! bench-smoke gates: `P1` (sharded engines vs one worker; writes
 //! `BENCH_engines.json`), `P2` (prepared-query amortization and
 //! batched counting; writes `BENCH_prepared.json`), `P3` (flat arena
 //! relations vs the seed nested-`Vec` layout; writes
@@ -110,9 +110,9 @@ struct P1Row {
     agrees: bool,
 }
 
-/// P1 — the parallel engines (`fpt-par`, `brute-par`) against their
-/// sequential counterparts: per-thread-count medians, the speedup at
-/// the widest setting, and a hard agreement gate.
+/// P1 — the `fpt` and `brute-force` engines sharded across 1/2/4
+/// workers against their one-worker runs: per-thread-count medians, the
+/// speedup at the widest setting, and a hard agreement gate.
 ///
 /// Writes a machine-readable report to `BENCH_engines.json` (override
 /// the path with `EPQ_BENCH_JSON`); CI's `bench-smoke` job uploads it
@@ -120,8 +120,8 @@ struct P1Row {
 /// with the sequential one** — this is the cheap perf+correctness gate
 /// that runs on every PR.
 fn p1_parallel_engines() {
-    println!("== P1: parallel engines — speedup and agreement vs sequential ==");
-    let host = epq_counting::pool::available_threads();
+    println!("== P1: sharded engines — speedup and agreement vs one worker ==");
+    let host = epq_pool::available_threads();
     println!("  host threads: {host}");
     let thread_counts = [1usize, 2, 4];
     let mut rows: Vec<P1Row> = Vec::new();
@@ -144,16 +144,15 @@ fn p1_parallel_engines() {
     );
     println!("{}", rule(&widths));
 
-    // One measurement sweep per (family, n): the sequential engine,
-    // then its parallel variant at each thread count, with agreement
-    // checked against the sequential count.
+    // One measurement sweep per (family, n): the engine on one worker,
+    // then sharded at each thread count, with agreement checked
+    // against the one-worker count.
     let mut measure = |family: &'static str,
                        query: &Query,
                        sizes: &[usize],
                        density: f64,
                        seed_offset: u64,
-                       seq: &dyn PpCountingEngine,
-                       par_of: fn(usize) -> Box<dyn PpCountingEngine>| {
+                       engine: &dyn PpCountingEngine| {
         let pp = pp_of(query);
         for &n in sizes {
             let b = data::random_digraph(
@@ -161,10 +160,10 @@ fn p1_parallel_engines() {
                 n,
                 density,
             );
-            let (seq_count, seq_us) = time_engine(seq, &pp, &b, 3);
+            let (seq_count, seq_us) = time_engine(engine, &pp, &b, 1, 3);
             rows.push(P1Row {
                 family,
-                engine: seq.name().to_string(),
+                engine: engine.name().to_string(),
                 n,
                 threads: 1,
                 median_us: seq_us,
@@ -173,8 +172,7 @@ fn p1_parallel_engines() {
             });
             let mut widest_us = seq_us;
             for &t in &thread_counts {
-                let engine = par_of(t);
-                let (par_count, par_us) = time_engine(engine.as_ref(), &pp, &b, 3);
+                let (par_count, par_us) = time_engine(engine, &pp, &b, t, 3);
                 widest_us = par_us;
                 rows.push(P1Row {
                     family,
@@ -225,7 +223,6 @@ fn p1_parallel_engines() {
         0.08,
         0,
         &FptEngine,
-        |t| Box::new(epq_counting::engines::ParFptEngine::new(t)),
     );
     measure(
         "path2-brute",
@@ -234,7 +231,6 @@ fn p1_parallel_engines() {
         0.1,
         7,
         &BruteForceEngine,
-        |t| Box::new(epq_counting::engines::ParBruteForceEngine::new(t)),
     );
 
     let disagreements = rows.iter().filter(|r| !r.agrees).count();
@@ -245,10 +241,10 @@ fn p1_parallel_engines() {
         Err(e) => eprintln!("  could not write {path}: {e}"),
     }
     if disagreements > 0 {
-        eprintln!("P1 FAILED: {disagreements} parallel count(s) disagree with sequential");
+        eprintln!("P1 FAILED: {disagreements} sharded count(s) disagree with one worker");
         std::process::exit(1);
     }
-    println!("  all parallel counts agree with sequential ✔\n");
+    println!("  all sharded counts agree with one worker ✔\n");
 }
 
 /// Renders the P1 report as JSON (by hand; the container has no serde).
@@ -297,7 +293,7 @@ fn p2_prepared_queries() {
     use epq_core::prepared::{classifier_cache_clear, classifier_cache_stats, PreparedQuery};
 
     println!("== P2: prepared queries — amortized classification and batched counting ==");
-    let host = epq_counting::pool::available_threads();
+    let host = epq_pool::available_threads();
     println!("  host threads: {host}");
     let query =
         parse_query("(w,x,y,z) := (E(x,y) & E(y,z)) | (E(z,w) & E(w,x)) | (E(w,x) & E(x,y))")
@@ -650,10 +646,10 @@ fn p3_relalg_layouts() {
         let flat_s = Relation::new(ss.clone(), sr.clone());
         let naive_r = NaiveRelation::new(rs, rr);
         let naive_s = NaiveRelation::new(ss, sr);
-        let flat_out = flat_r.join(&flat_s);
+        let flat_out = flat_r.join(&flat_s, 1);
         let naive_out = naive_r.join(&naive_s);
         let flat_us = time_us(5, || {
-            let _ = flat_r.join(&flat_s);
+            let _ = flat_r.join(&flat_s, 1);
         });
         let naive_us = time_us(5, || {
             let _ = naive_r.join(&naive_s);
@@ -681,10 +677,10 @@ fn p3_relalg_layouts() {
         let naive_r = NaiveRelation::new(rs, rr);
         let naive_s = NaiveRelation::new(ss, sr);
         let naive_t = NaiveRelation::new(ts, tr);
-        let flat_out = flat_r.join(&flat_s).join(&flat_t);
+        let flat_out = flat_r.join(&flat_s, 1).join(&flat_t, 1);
         let naive_out = naive_r.join(&naive_s).join(&naive_t);
         let flat_us = time_us(5, || {
-            let _ = flat_r.join(&flat_s).join(&flat_t);
+            let _ = flat_r.join(&flat_s, 1).join(&flat_t, 1);
         });
         let naive_us = time_us(5, || {
             let _ = naive_r.join(&naive_s).join(&naive_t);
@@ -811,7 +807,7 @@ struct P4Row {
 /// disagrees** between incremental maintenance and the from-scratch
 /// recount.
 fn p4_streaming() {
-    use epq_counting::engines::{ParRelalgEngine, RelalgEngine};
+    use epq_counting::engines::RelalgEngine;
 
     println!("== P4: streaming — incremental maintenance vs recount-per-checkpoint ==");
     let mut rows: Vec<P4Row> = Vec::new();
@@ -890,10 +886,9 @@ fn p4_streaming() {
     );
 
     // Pool-parallel maintenance: same counts, joins sharded.
-    let par: fn() -> Box<dyn PpCountingEngine> = || Box::new(ParRelalgEngine::new(4));
-    let par_counts = stream_incremental(&query, &log, par, 4);
+    let par_counts = stream_incremental(&query, &log, relalg, 4);
     let par_us = time_us(3, || {
-        let _ = stream_incremental(&query, &log, par, 4);
+        let _ = stream_incremental(&query, &log, relalg, 4);
     });
     rows.push(P4Row {
         family: "skewed-feed",
@@ -1378,7 +1373,7 @@ fn e6_general_recovery() {
     let mut calls = 0usize;
     let mut oracle_fn = |d: &Structure| {
         calls += 1;
-        count_ep_with(&dec, query.liberal_count(), d, &FptEngine)
+        count_ep_with(&dec, query.liberal_count(), d, &FptEngine, 1)
     };
     let recovered = oracle::recover_plus_counts(&dec, query.liberal_count(), &b, &mut oracle_fn);
     for (formula, n) in &recovered {
@@ -1422,7 +1417,7 @@ fn f1_engine_scaling() {
             } else {
                 3
             };
-            let (c, us) = time_engine(engine.as_ref(), &pp, &b, runs);
+            let (c, us) = time_engine(engine.as_ref(), &pp, &b, 1, runs);
             count = c;
             cells.push(format!("{us:.0}"));
         }
@@ -1453,9 +1448,9 @@ fn f1_engine_scaling() {
     println!("{}", rule(&widths));
     for k in [2usize, 3, 4, 5, 6] {
         let pp = pp_of(&queries::path_query(k));
-        let (count, brute_us) = time_engine(&BruteForceEngine, &pp, &b, 1);
-        let (_, dp_us) = time_engine(&HomDpEngine, &pp, &b, 3);
-        let (_, fpt_us) = time_engine(&FptEngine, &pp, &b, 3);
+        let (count, brute_us) = time_engine(&BruteForceEngine, &pp, &b, 1, 1);
+        let (_, dp_us) = time_engine(&HomDpEngine, &pp, &b, 1, 3);
+        let (_, fpt_us) = time_engine(&FptEngine, &pp, &b, 1, 3);
         println!(
             "{}",
             row(
@@ -1540,7 +1535,7 @@ fn f3_case_two_scaling() {
                 &mut StdRng::seed_from_u64(100 + n as u64),
             );
             let b = epq_counting::clique::graph_to_structure(&g);
-            let (count, us) = time_engine(&FptEngine, &pp, &b, 1);
+            let (count, us) = time_engine(&FptEngine, &pp, &b, 1, 1);
             println!(
                 "{}",
                 row(

@@ -43,17 +43,18 @@ pub fn time_us(runs: usize, mut f: impl FnMut()) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// Times one engine on one (query, structure) pair, returning (count,
-/// median µs).
+/// Times one engine on one (query, structure) pair at up to `threads`
+/// workers, returning (count, median µs).
 pub fn time_engine(
     engine: &dyn PpCountingEngine,
     pp: &PpFormula,
     b: &Structure,
+    threads: usize,
     runs: usize,
 ) -> (String, f64) {
-    let count = engine.count(pp, b);
+    let count = engine.count_threads(pp, b, threads);
     let us = time_us(runs, || {
-        let _ = engine.count(pp, b);
+        let _ = engine.count_threads(pp, b, threads);
     });
     (count.to_string(), us)
 }
@@ -118,8 +119,8 @@ pub fn p4_stream_log(
 }
 
 /// Replays `log` through incremental maintenance
-/// (`epq_core::incremental::LiveCount`, up to `threads` workers under
-/// the maintainer's joins), returning the checkpoint counts.
+/// (`epq_core::incremental::LiveCount`, up to `threads` workers per
+/// recount), returning the checkpoint counts.
 pub fn stream_incremental(
     query: &epq_logic::Query,
     log: &epq_structures::live::StreamLog,
@@ -214,7 +215,7 @@ mod tests {
         let q = queries::path_query(2);
         let pp = pp_of(&q);
         let b = data::path_structure(5);
-        let (count, _) = time_engine(&epq_counting::engines::FptEngine, &pp, &b, 2);
+        let (count, _) = time_engine(&epq_counting::engines::FptEngine, &pp, &b, 1, 2);
         assert_eq!(count, "3");
     }
 

@@ -34,12 +34,14 @@ pub fn sentence_holds(theta: &epq_logic::PpFormula, b: &Structure) -> bool {
     hom::homomorphism_exists(theta.structure(), b)
 }
 
-/// Counts `|φ(B)|` using a precomputed [`PlusDecomposition`].
+/// Counts `|φ(B)|` using a precomputed [`PlusDecomposition`], giving
+/// each engine call up to `threads` pool workers.
 pub fn count_ep_with(
     decomposition: &PlusDecomposition,
     liberal_count: usize,
     b: &Structure,
     engine: &dyn PpCountingEngine,
+    threads: usize,
 ) -> Natural {
     for theta in &decomposition.sentences {
         if sentence_holds(theta, b) {
@@ -54,7 +56,7 @@ pub fn count_ep_with(
         if !kept {
             continue;
         }
-        let count = Integer::from(engine.count(&term.formula, b));
+        let count = Integer::from(engine.count_threads(&term.formula, b, threads));
         acc += &(&term.coefficient * &count);
     }
     assert!(!acc.is_negative(), "ep count must be non-negative");

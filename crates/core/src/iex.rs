@@ -23,8 +23,29 @@
 use crate::equivalence::counting_equivalent;
 use epq_bigint::{Integer, Natural};
 use epq_counting::PpCountingEngine;
+use epq_logic::query::LogicError;
 use epq_logic::PpFormula;
 use epq_structures::Structure;
+
+/// The largest disjunct count the inclusion–exclusion expansion
+/// accepts: `2^24 − 1` raw terms is already far beyond any practical
+/// query (the formula is the parameter).
+pub const MAX_EXPANSION_DISJUNCTS: usize = 24;
+
+/// Checks that `s` disjuncts are within [`MAX_EXPANSION_DISJUNCTS`] —
+/// the typed error every user-reachable route into
+/// [`inclusion_exclusion_terms`] returns before expanding.
+pub fn check_expansion_size(s: usize) -> Result<(), LogicError> {
+    if s > MAX_EXPANSION_DISJUNCTS {
+        return Err(LogicError {
+            message: format!(
+                "inclusion-exclusion over {s} disjuncts is infeasible \
+                 (at most {MAX_EXPANSION_DISJUNCTS} are supported)"
+            ),
+        });
+    }
+    Ok(())
+}
 
 /// A pp-formula with an integer coefficient in a signed sum.
 #[derive(Clone, Debug)]
@@ -40,13 +61,14 @@ pub struct SignedPp {
 /// replaced by its core.
 ///
 /// # Panics
-/// Panics on an empty disjunct list, or if `s` exceeds 24 (the expansion
-/// would be astronomically large; the formula is the parameter).
+/// Panics on an empty disjunct list, or if `s` exceeds
+/// [`MAX_EXPANSION_DISJUNCTS`] (callers reachable from user input check
+/// [`check_expansion_size`] first).
 pub fn inclusion_exclusion_terms(disjuncts: &[PpFormula]) -> Vec<SignedPp> {
     let s = disjuncts.len();
     assert!(s >= 1, "inclusion-exclusion needs at least one disjunct");
     assert!(
-        s <= 24,
+        s <= MAX_EXPANSION_DISJUNCTS,
         "inclusion-exclusion over {s} disjuncts is infeasible"
     );
     let mut subsets: Vec<u32> = (1..(1u32 << s)).collect();

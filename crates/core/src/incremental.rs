@@ -20,11 +20,11 @@
 //! * **cached relational-algebra intermediates** — when the prepared
 //!   engine is scan-based
 //!   ([`epq_counting::engines::PpCountingEngine::scan_based`], the
-//!   `relalg` family), affected terms re-evaluate through an
+//!   `relalg` engine), affected terms re-evaluate through an
 //!   [`epq_relalg::ScanCache`]: only atoms over dirty relations
 //!   rescan, the joins replay on mostly-cached inputs;
 //! * **the DP-table fallback** — for every other engine (`fpt`,
-//!   `hom-dp`, the brute enumerators) a dirty relation feeds DP
+//!   `hom-dp`, `brute-force`) a dirty relation feeds DP
 //!   tables or enumeration state that cannot be patched, so each
 //!   *affected* term is fully recounted through the engine (clean
 //!   terms still come from the cache).
@@ -84,8 +84,6 @@ pub struct LiveCountStats {
 pub struct LiveCount {
     prepared: PreparedQuery,
     live: LiveStructure,
-    /// Worker cap for the cached relational-algebra joins.
-    threads: usize,
     /// Affected terms re-evaluate through [`ScanCache`]d relational
     /// algebra iff the prepared engine is scan-based; otherwise each
     /// one is fully recounted by that engine.
@@ -142,7 +140,6 @@ impl LiveCount {
         Ok(LiveCount {
             prepared,
             live,
-            threads: 1,
             cached_relalg,
             sentence_true: vec![None; sentences],
             sentence_reads,
@@ -154,11 +151,12 @@ impl LiveCount {
         })
     }
 
-    /// Caps the worker threads of the cached relational-algebra joins
-    /// (ignored on the engine-fallback path, whose engines carry their
-    /// own thread configuration). Counts are identical at every cap.
+    /// Caps the pool workers of every recount — the cached
+    /// relational-algebra joins and the engine fallback alike — by
+    /// forwarding to [`PreparedQuery::with_threads`]. Counts are
+    /// identical at every cap.
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+        self.prepared = self.prepared.with_threads(threads);
         self
     }
 
@@ -241,7 +239,6 @@ impl LiveCount {
         let Self {
             ref prepared,
             ref live,
-            threads,
             cached_relalg,
             ref mut sentence_true,
             ref sentence_reads,
@@ -252,6 +249,7 @@ impl LiveCount {
             ..
         } = *self;
         let dec = prepared.decomposition();
+        let threads = prepared.threads();
         let b = live.snapshot();
 
         // Sentence disjuncts: latch truth, recheck the false ones only
@@ -293,7 +291,7 @@ impl LiveCount {
                         count_pp_cached(&term.formula, b, scans, threads)
                     } else {
                         stats.engine_fallbacks += 1;
-                        prepared.engine().count(&term.formula, b)
+                        prepared.engine().count_threads(&term.formula, b, threads)
                     };
                     term_counts[i] = Some(count);
                 } else {

@@ -16,7 +16,7 @@
 //! and counting for `φ⁺` are interreducible; Theorem 3.2 reads the
 //! trichotomy off the treewidth profile of `φ⁺`.
 
-use crate::iex::{star, SignedPp};
+use crate::iex::{check_expansion_size, star, SignedPp};
 use epq_logic::query::LogicError;
 use epq_logic::{dnf, PpFormula, Query};
 use epq_structures::Signature;
@@ -67,18 +67,34 @@ impl PlusDecomposition {
 }
 
 /// Computes the `φ⁺` decomposition of a query (Theorem 3.1's algorithm).
+///
+/// Fails on DNF errors, and when more free disjuncts survive
+/// normalization than the inclusion–exclusion expansion accepts (see
+/// [`check_expansion_size`]).
 pub fn plus_decomposition(
     query: &Query,
     signature: &Signature,
 ) -> Result<PlusDecomposition, LogicError> {
-    let raw = dnf::disjuncts(query, signature)?;
-    Ok(plus_decomposition_of_normalized(dnf::normalize(raw)))
+    let disjuncts = dnf::normalize(dnf::disjuncts(query, signature)?);
+    check_free_disjuncts(&disjuncts)?;
+    Ok(plus_decomposition_of_normalized(disjuncts))
+}
+
+/// [`check_expansion_size`] on the free disjuncts — the ones `φ*_af`
+/// expands.
+pub(crate) fn check_free_disjuncts(disjuncts: &[PpFormula]) -> Result<(), LogicError> {
+    check_expansion_size(disjuncts.iter().filter(|d| d.is_free()).count())
 }
 
 /// The `φ⁺` construction starting from already **normalized** disjuncts
 /// (the output of [`dnf::normalize`]). [`crate::prepared`] uses this to
 /// avoid re-expanding the DNF after computing a query's canonical cache
 /// key from the same disjunct list.
+///
+/// # Panics
+/// Panics when more free disjuncts remain than
+/// [`crate::iex::MAX_EXPANSION_DISJUNCTS`]; [`plus_decomposition`] and
+/// [`crate::prepared::PreparedQuery::prepare`] check that first.
 pub fn plus_decomposition_of_normalized(disjuncts: Vec<PpFormula>) -> PlusDecomposition {
     let (all_free, sentences): (Vec<PpFormula>, Vec<PpFormula>) =
         disjuncts.iter().cloned().partition(|d| d.is_free());
@@ -117,6 +133,23 @@ mod tests {
         let q = parse_query(text).unwrap();
         let sig = epq_logic::query::infer_signature([q.formula()]).unwrap();
         plus_decomposition(&q, &sig).unwrap()
+    }
+
+    #[test]
+    fn too_many_free_disjuncts_is_an_error() {
+        // 42 incomparable disjuncts, and 31 duplicates (normalization
+        // keeps them), both exceed the expansion limit.
+        let distinct: Vec<String> = (0..42).map(|i| format!("R{i}(x,x)")).collect();
+        let copies = vec!["E(x,y)"; 31].join(" | ");
+        for text in [format!("(x) := {}", distinct.join(" | ")), copies] {
+            let q = parse_query(&text).unwrap();
+            let sig = epq_logic::query::infer_signature([q.formula()]).unwrap();
+            let err = plus_decomposition(&q, &sig).unwrap_err();
+            assert!(err.message.contains("infeasible"), "got: {err}");
+        }
+        // The limit itself is accepted.
+        assert!(check_expansion_size(crate::iex::MAX_EXPANSION_DISJUNCTS).is_ok());
+        assert!(check_expansion_size(crate::iex::MAX_EXPANSION_DISJUNCTS + 1).is_err());
     }
 
     /// Example 5.21: θ(V) = φ1 ∨ φ2 ∨ φ3 ∨ θ1 with V = {w,x,y,z},

@@ -13,12 +13,13 @@
 //!   canonical form**, so repeated preparation of α-equivalent or
 //!   reordered queries is a hash lookup;
 //! * [`PreparedQuery::count`] / [`PreparedQuery::count_with`] run only
-//!   the per-structure phase;
+//!   the per-structure phase, giving every engine call the
+//!   [`PreparedQuery::with_threads`] worker cap (default 1);
 //! * [`count_ep_batch`] / [`PreparedQuery::count_batch`] fan the
 //!   per-structure phase across the shared `epq-pool` workers, one job
 //!   per structure, results in input order and **bit-identical** to a
-//!   sequential loop (each job is the sequential per-structure
-//!   algorithm; the pool only schedules which worker runs it);
+//!   sequential loop (each job is the per-structure algorithm on one
+//!   worker; the pool only schedules which worker runs it);
 //! * [`PreparedQuery::analysis`] computes the trichotomy width measures
 //!   **lazily** and shares them through the same cache entry — counting
 //!   never pays for treewidth, and classification is computed at most
@@ -35,7 +36,7 @@
 
 use crate::classify::{analyze_decomposition, classify_widths, QueryAnalysis, Regime};
 use crate::count::count_ep_with;
-use crate::plus::{plus_decomposition_of_normalized, PlusDecomposition};
+use crate::plus::{check_free_disjuncts, plus_decomposition_of_normalized, PlusDecomposition};
 use epq_bigint::Natural;
 use epq_counting::engines::{FptEngine, PpCountingEngine};
 use epq_logic::query::LogicError;
@@ -130,19 +131,26 @@ pub fn classifier_cache_clear() {
 }
 
 /// An ep-query with its whole per-query phase precomputed: parsed
-/// query, `φ⁺` decomposition, (lazily) the trichotomy analysis, and a
-/// chosen counting engine. See the [module docs](self).
+/// query, `φ⁺` decomposition, (lazily) the trichotomy analysis, a
+/// chosen counting engine and its worker cap. See the
+/// [module docs](self).
 pub struct PreparedQuery {
     query: Query,
     signature: Signature,
     entry: Arc<PreparedEntry>,
     engine: Box<dyn PpCountingEngine>,
+    threads: usize,
     cache_hit: bool,
 }
 
 impl PreparedQuery {
     /// Runs (or looks up) the per-query phase. The default engine is
-    /// [`FptEngine`]; swap it with [`PreparedQuery::with_engine`].
+    /// [`FptEngine`] on one worker; swap them with
+    /// [`PreparedQuery::with_engine`] and [`PreparedQuery::with_threads`].
+    ///
+    /// Fails on DNF errors, and when more free disjuncts survive
+    /// normalization than the inclusion–exclusion expansion accepts
+    /// (see [`crate::iex::check_expansion_size`]).
     pub fn prepare(query: &Query, signature: &Signature) -> Result<Self, LogicError> {
         Self::build(query, signature, true)
     }
@@ -159,6 +167,7 @@ impl PreparedQuery {
         // the decomposition, so a cache hit pays it exactly once.
         let raw = dnf::disjuncts(query, signature)?;
         let disjuncts = dnf::normalize(raw);
+        check_free_disjuncts(&disjuncts)?;
         if !use_cache {
             let entry = Arc::new(PreparedEntry {
                 decomposition: plus_decomposition_of_normalized(disjuncts),
@@ -224,6 +233,7 @@ impl PreparedQuery {
             signature: signature.clone(),
             entry,
             engine: Box::new(FptEngine),
+            threads: 1,
             cache_hit,
         }
     }
@@ -232,6 +242,15 @@ impl PreparedQuery {
     /// and [`PreparedQuery::count_batch`].
     pub fn with_engine(mut self, engine: Box<dyn PpCountingEngine>) -> Self {
         self.engine = engine;
+        self
+    }
+
+    /// Caps the pool workers of every engine call made by
+    /// [`PreparedQuery::count`] and [`PreparedQuery::count_with`]
+    /// (default 1, the sequential algorithms; 0 is treated as 1).
+    /// Counts are identical at every cap.
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads.max(1);
         self
     }
 
@@ -259,6 +278,11 @@ impl PreparedQuery {
     /// The chosen counting engine.
     pub fn engine(&self) -> &dyn PpCountingEngine {
         self.engine.as_ref()
+    }
+
+    /// The worker cap of each engine call.
+    pub fn threads(&self) -> usize {
+        self.threads
     }
 
     /// Whether this preparation was answered from the process-wide
@@ -290,28 +314,32 @@ impl PreparedQuery {
         self.count_with(b, self.engine.as_ref())
     }
 
-    /// Counts `|φ(B)|` with an explicit engine.
+    /// Counts `|φ(B)|` with an explicit engine, at the prepared worker
+    /// cap.
     pub fn count_with(&self, b: &Structure, engine: &dyn PpCountingEngine) -> Natural {
         count_ep_with(
             &self.entry.decomposition,
             self.query.liberal_count(),
             b,
             engine,
+            self.threads,
         )
     }
 
     /// Counts `|φ(Bᵢ)|` for every structure, fanning one job per
-    /// structure across up to `threads` pool workers. Results come back
+    /// structure across up to `threads` pool workers. Each job's engine
+    /// calls run on one worker, whatever [`PreparedQuery::with_threads`]
+    /// says — the fan-out already fills the pool, and nesting would
+    /// multiply up to `threads × threads` OS threads. Results come back
     /// in input order and are bit-identical to a sequential
-    /// [`PreparedQuery::count`] loop at every thread count (each job
-    /// *is* that sequential per-structure computation).
+    /// [`PreparedQuery::count`] loop at every thread count.
     pub fn count_batch(&self, structures: &[Structure], threads: usize) -> Vec<Natural> {
         let decomposition = &self.entry.decomposition;
         let liberal_count = self.query.liberal_count();
         let engine = self.engine.as_ref();
         let jobs: Vec<_> = structures
             .iter()
-            .map(|b| move || count_ep_with(decomposition, liberal_count, b, engine))
+            .map(|b| move || count_ep_with(decomposition, liberal_count, b, engine, 1))
             .collect();
         epq_pool::run_jobs(threads.max(1), jobs)
     }
@@ -566,6 +594,33 @@ mod tests {
             );
         }
         assert_eq!(count_ep_batch(&p, &structures), sequential);
+    }
+
+    #[test]
+    fn too_many_free_disjuncts_is_an_error() {
+        let disjuncts: Vec<String> = (0..42).map(|i| format!("R{i}(x,x)")).collect();
+        let q = parse_query(&format!("(x) := {}", disjuncts.join(" | "))).unwrap();
+        let sig = infer_signature([q.formula()]).unwrap();
+        for prepared in [
+            PreparedQuery::prepare(&q, &sig),
+            PreparedQuery::prepare_uncached(&q, &sig),
+        ] {
+            let err = prepared.err().expect("42 disjuncts must be rejected");
+            assert!(err.message.contains("infeasible"), "got: {err}");
+        }
+    }
+
+    #[test]
+    fn worker_cap_does_not_change_counts() {
+        let _guard = test_lock();
+        let text = "(x, y) := (exists u . E(x,u) & E(u,y)) | E(y,x)";
+        let expected = prepare_text(text).count(&example_c());
+        assert_eq!(prepare_text(text).with_threads(0).threads(), 1);
+        for threads in [2usize, 4] {
+            let p = prepare_text(text).with_threads(threads);
+            assert_eq!(p.count(&example_c()), expected, "threads = {threads}");
+            assert_eq!(p.count_with(&example_c(), &BruteForceEngine), expected);
+        }
     }
 
     #[test]

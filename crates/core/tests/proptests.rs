@@ -87,7 +87,7 @@ proptest! {
         let dec = plus_decomposition(&query, &sig).unwrap();
         let b = data::random_digraph(&mut StdRng::seed_from_u64(sseed), 2, 0.5);
         let mut oracle_fn = |d: &epq_structures::Structure| {
-            count_ep_with(&dec, query.liberal_count(), d, &FptEngine)
+            count_ep_with(&dec, query.liberal_count(), d, &FptEngine, 1)
         };
         let recovered =
             oracle::recover_plus_counts(&dec, query.liberal_count(), &b, &mut oracle_fn);

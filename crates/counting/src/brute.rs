@@ -107,8 +107,9 @@ pub fn assignment_space(domain: usize, arity: usize) -> Option<u128> {
 /// order [`for_each_assignment`] visits, so concatenating the ranges of
 /// a partition of `0..domain^arity` replays the full enumeration.
 ///
-/// This is the sharding primitive of the parallel brute-force engine:
-/// each worker sweeps one contiguous index range.
+/// This is the sharding primitive of the brute-force engine
+/// ([`crate::engines::BruteForceEngine`]) and of the FPT boundary
+/// sweep: each worker sweeps one contiguous index range.
 pub fn for_each_assignment_in_range(
     domain: usize,
     arity: usize,
@@ -159,45 +160,6 @@ pub fn for_each_assignment_in_range(
     }
 }
 
-/// Counts `|φ(B)|` like [`count_pp_brute`], but sweeps the assignment
-/// space in parallel: the flat index range `0..|B|^|lib|` is split into
-/// contiguous shards (a few per worker, so the atomic job cursor
-/// balances uneven satisfiability checks) and the per-shard partial
-/// counts are summed in shard order — the result is bit-identical to
-/// the sequential count at every thread count.
-pub fn count_pp_brute_par(pp: &PpFormula, b: &Structure, threads: usize) -> Natural {
-    let arity = pp.liberal_count();
-    let domain = b.universe_size();
-    let total = match assignment_space(domain, arity) {
-        Some(t) => t,
-        None => return count_pp_brute(pp, b),
-    };
-    if threads <= 1 || total < 2 {
-        return count_pp_brute(pp, b);
-    }
-    let shards = crate::pool::split_ranges(total, threads.saturating_mul(4));
-    let jobs: Vec<_> = shards
-        .into_iter()
-        .map(|(start, end)| {
-            move || {
-                let mut count = Natural::zero();
-                let one = Natural::one();
-                for_each_assignment_in_range(domain, arity, start, end, &mut |values| {
-                    if pp.satisfied_by(b, values) {
-                        count += &one;
-                    }
-                });
-                count
-            }
-        })
-        .collect();
-    let mut acc = Natural::zero();
-    for partial in crate::pool::run_jobs(threads, jobs) {
-        acc += &partial;
-    }
-    acc
-}
-
 /// Convenience: count an ep-formula given as text against `b`.
 ///
 /// Panics on parse/validation errors — intended for tests and examples.
@@ -217,6 +179,7 @@ pub fn universe_power(b: &Structure, k: usize) -> Natural {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engines::{BruteForceEngine, PpCountingEngine};
     use epq_logic::parser::parse_query;
     use epq_logic::query::infer_signature;
     use epq_structures::Signature;
@@ -297,7 +260,7 @@ mod tests {
             let expected = count_pp_brute(&pp, &b);
             for threads in [1usize, 2, 3, 8] {
                 assert_eq!(
-                    count_pp_brute_par(&pp, &b, threads),
+                    BruteForceEngine.count_threads(&pp, &b, threads),
                     expected,
                     "query {text} at {threads} threads"
                 );
@@ -307,7 +270,10 @@ mod tests {
         let sig = Signature::from_symbols([("E", 2)]);
         let empty = Structure::new(sig, 0);
         let pp = pp_of("E(x,y)");
-        assert_eq!(count_pp_brute_par(&pp, &empty, 4).to_u64(), Some(0));
+        assert_eq!(
+            BruteForceEngine.count_threads(&pp, &empty, 4).to_u64(),
+            Some(0)
+        );
     }
 
     #[test]

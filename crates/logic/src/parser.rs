@@ -15,6 +15,11 @@
 //! `&` binds tighter than `|`; `exists` extends as far right as possible.
 //! The optional head lists the liberal variables; without a head they
 //! default to the free variables.
+//!
+//! Nesting — parenthesized subformulas plus one level per quantified
+//! variable — is capped at [`MAX_NESTING`], so neither this recursive
+//! descent nor any later recursive pass over the [`Formula`] tree can
+//! exhaust the stack on hostile input.
 
 use crate::formula::{Atom, Formula, Var};
 use crate::query::Query;
@@ -35,12 +40,27 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The deepest nesting [`parse_query`] / [`parse_formula`] accept:
+/// parenthesized subformulas and `exists` bodies each open one level,
+/// and every quantified variable adds one more.
+pub const MAX_NESTING: usize = 256;
+
 struct Cursor<'a> {
     text: &'a str,
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Cursor<'a> {
+    /// Opens `levels` nesting levels, failing past [`MAX_NESTING`].
+    fn descend(&mut self, levels: usize) -> Result<(), ParseError> {
+        self.depth += levels;
+        if self.depth > MAX_NESTING {
+            return Err(self.error(format!("nesting too deep (more than {MAX_NESTING} levels)")));
+        }
+        Ok(())
+    }
+
     fn error(&self, message: impl Into<String>) -> ParseError {
         let mut message = message.into();
         let rest: String = self.text[self.pos..].chars().take(20).collect();
@@ -139,7 +159,12 @@ fn unit(c: &mut Cursor) -> Result<Formula, ParseError> {
         c.eat("exists")?;
         let vars = varlist(c)?;
         c.eat(".")?;
-        let body = unit_chain(c)?;
+        // `exists x . E(x,y) & F(y)` scopes the quantifier over the
+        // whole chain: after `exists … .` parsing continues with
+        // conjunctions and disjunctions.
+        c.descend(vars.len())?;
+        let body = formula(c)?;
+        c.depth -= vars.len();
         return Ok(vars
             .into_iter()
             .rev()
@@ -161,12 +186,6 @@ fn unit(c: &mut Cursor) -> Result<Formula, ParseError> {
     Ok(Formula::Atom(Atom::new(name, args)))
 }
 
-/// `exists x . E(x,y) & F(y)` scopes the quantifier over the whole chain:
-/// after `exists … .` we keep parsing conjunctions and disjunctions.
-fn unit_chain(c: &mut Cursor) -> Result<Formula, ParseError> {
-    formula(c)
-}
-
 fn conj(c: &mut Cursor) -> Result<Formula, ParseError> {
     let mut acc = unit(c)?;
     while c.peek_char() == Some('&') {
@@ -177,17 +196,23 @@ fn conj(c: &mut Cursor) -> Result<Formula, ParseError> {
 }
 
 fn formula(c: &mut Cursor) -> Result<Formula, ParseError> {
+    c.descend(1)?;
     let mut acc = conj(c)?;
     while c.peek_char() == Some('|') {
         c.eat("|")?;
         acc = acc.or(conj(c)?);
     }
+    c.depth -= 1;
     Ok(acc)
 }
 
 /// Parses a bare formula (no liberal head).
 pub fn parse_formula(text: &str) -> Result<Formula, ParseError> {
-    let mut c = Cursor { text, pos: 0 };
+    let mut c = Cursor {
+        text,
+        pos: 0,
+        depth: 0,
+    };
     let f = formula(&mut c)?;
     if !c.at_end() {
         return Err(c.error("trailing input after formula"));
@@ -197,7 +222,11 @@ pub fn parse_formula(text: &str) -> Result<Formula, ParseError> {
 
 /// Parses a query, with an optional liberal head `(v1, …, vk) :=`.
 pub fn parse_query(text: &str) -> Result<Query, ParseError> {
-    let mut c = Cursor { text, pos: 0 };
+    let mut c = Cursor {
+        text,
+        pos: 0,
+        depth: 0,
+    };
     // Try the head: '(' varlist ')' ':='. Backtrack if ':=' is absent.
     let saved = c.pos;
     let head = if c.try_eat("(") {
@@ -327,6 +356,37 @@ mod tests {
         assert!(parse_query("(x) := E(x,y)").is_err()); // y free but not liberal
         assert!(parse_query("").is_err());
         assert!(parse_query("123(x)").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_rejected() {
+        let parens = format!("{}E(x,y){}", "(".repeat(10_000), ")".repeat(10_000));
+        let err = parse_query(&parens).unwrap_err();
+        assert!(err.message.contains("nesting too deep"), "got: {err}");
+        let quantifiers = format!("{}E(x,x)", "exists y . ".repeat(10_000));
+        let err = parse_query(&quantifiers).unwrap_err();
+        assert!(err.message.contains("nesting too deep"), "got: {err}");
+        let wide = format!(
+            "exists {} . E(x,x)",
+            (0..MAX_NESTING)
+                .map(|i| format!("v{i}"))
+                .collect::<Vec<_>>()
+                .join(", ")
+        );
+        assert!(parse_query(&wide)
+            .unwrap_err()
+            .message
+            .contains("nesting too deep"));
+        // Just under the limit still parses.
+        let ok = format!(
+            "{}E(x,y){}",
+            "(".repeat(MAX_NESTING - 1),
+            ")".repeat(MAX_NESTING - 1)
+        );
+        assert_eq!(
+            parse_query(&ok).unwrap().formula(),
+            &Formula::atom("E", &["x", "y"])
+        );
     }
 
     #[test]

@@ -21,8 +21,8 @@ use std::sync::Mutex;
 
 /// The number of hardware threads available, with a floor of 1.
 ///
-/// Used as the default shard width by the parallel engines when no
-/// explicit `threads` knob is given (the CLI's `--threads` flag).
+/// The default worker cap where none is given (the CLI's `--threads`
+/// flag, `epq_core::prepared::count_ep_batch`).
 pub fn available_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -33,8 +33,8 @@ pub fn available_threads() -> usize {
 /// results in job order.
 ///
 /// With `threads <= 1` (or a single job) everything runs inline on the
-/// caller's thread — the parallel engines at one thread are *exactly*
-/// the sequential algorithms. A panicking job propagates the panic to
+/// caller's thread — every engine at one worker is *exactly* its
+/// sequential algorithm. A panicking job propagates the panic to
 /// the caller when the scope joins.
 pub fn run_jobs<T, F>(threads: usize, jobs: Vec<F>) -> Vec<T>
 where

@@ -22,10 +22,10 @@
 //! [`epq_logic::PpFormula`]'s canonical layout), so disjuncts over the
 //! same liberal variable set align positionally.
 //!
-//! Every evaluation entry point has a `…_par` variant that partitions
-//! each join's outer relation across the shared `epq-pool` workers
-//! ([`Relation::join_par`]); results are **bit-identical** to the
-//! sequential paths at every thread count, because shard boundaries
+//! The counting entry points ([`count_pp`], [`count_pp_cached`]) take a
+//! `threads` worker cap and partition each join's outer relation across
+//! the shared `epq-pool` workers ([`Relation::join`]); results are
+//! **bit-identical** at every thread count, because shard boundaries
 //! depend only on row indices and all partials funnel through the same
 //! sort+dedup normalization.
 //!
@@ -39,8 +39,5 @@
 pub mod engine;
 pub mod relation;
 
-pub use engine::{
-    answers_pp, answers_pp_par, count_pp, count_pp_cached, count_pp_par, count_ucq, count_ucq_par,
-    JoinPlan, ScanCache,
-};
+pub use engine::{answers_pp, count_pp, count_pp_cached, count_ucq, JoinPlan, ScanCache};
 pub use relation::{Relation, Rows};

@@ -8,12 +8,11 @@
 
 use epq_core::classify::classify_query;
 use epq_core::equivalence::{counting_equivalent, semi_counting_equivalent};
-use epq_core::iex::star;
+use epq_core::iex::{check_expansion_size, star};
 use epq_core::plus::plus_decomposition;
 use epq_core::prepared::PreparedQuery;
 use epq_counting::engines::{
-    BruteForceEngine, FptEngine, HomDpEngine, ParBruteForceEngine, ParFptEngine, ParRelalgEngine,
-    PpCountingEngine, RelalgEngine,
+    BruteForceEngine, FptEngine, HomDpEngine, PpCountingEngine, RelalgEngine,
 };
 use epq_logic::dnf;
 use epq_logic::parser::parse_query;
@@ -40,19 +39,21 @@ USAGE:
 QUERY SYNTAX:    (x, y) := E(x,y) | (exists u . E(x,u) & E(u,y))
 STRUCTURE SYNTAX: structure { universe 4  E = { (0,1), (1,2) } }
 ENGINES:         fpt (default) | brute-force | relalg | hom-dp
-                 | fpt-par | brute-par | relalg-par
-THREADS:         --threads N caps the worker threads of the parallel engines,
-                 of --batch fan-out, and of the --stream maintainer's joins
+                 fpt-par, brute-par, relalg-par: the same engine, sharding
+                 each count across --threads workers (plain names count on
+                 one worker)
+THREADS:         --threads N caps the workers of the -par engines, of the
+                 --batch fan-out, and of every --stream recount
                  (default: all hardware threads)
 BATCH:           --batch <FILE> reads one or more structure blocks; the query
                  is prepared once and counted per block (one count per line).
                  --threads caps the per-structure fan-out; each job's engine
-                 runs single-threaded
+                 runs on one worker
 STREAM:          --stream <FILE> replays a tuple log (universe N / rel R/k /
                  insert R e... / checkpoint lines) through the incremental
                  maintainer, printing one count per checkpoint (and a final
-                 count if the log does not end on one). relalg-family engines
-                 maintain through cached scans; DP-table engines recount each
+                 count if the log does not end on one). relalg maintains
+                 through cached scans; the DP-table engines recount each
                  affected disjunct in full
 ";
 
@@ -71,11 +72,13 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
                 return count_stream(args, &query, &path, out);
             }
             let b = load_structure(args)?;
-            let engine = engine_from(args)?;
+            let threads = threads_from(args)?;
+            let (engine, sharded) = engine_from(args)?;
             let (q, sig) = prepare(&query, Some(&b))?;
             let prepared = PreparedQuery::prepare(&q, &sig)
                 .map_err(|e| e.to_string())?
-                .with_engine(engine);
+                .with_engine(engine)
+                .with_threads(if sharded { threads } else { 1 });
             writeln!(out, "{}", prepared.count(&b)).map_err(io)
         }
         Some("classify") => {
@@ -110,6 +113,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
             let query = required(args, "--query")?;
             let (q, sig) = prepare(&query, None)?;
             let ds = dnf::disjuncts(&q, &sig).map_err(|e| e.to_string())?;
+            check_expansion_size(ds.len()).map_err(|e| e.to_string())?;
             writeln!(out, "disjuncts: {}", ds.len()).map_err(io)?;
             for d in &ds {
                 writeln!(out, "  | {d}").map_err(io)?;
@@ -190,11 +194,9 @@ fn count_batch(
             ));
         }
     }
-    // The batch fan-out already saturates the pool, so the per-job
-    // engine runs single-threaded — otherwise a parallel engine would
-    // multiply up to threads x threads OS threads.
-    let engine = engine_with_threads(args, 1)?;
+    // `count_batch` runs each job's engine on one worker.
     let threads = threads_from(args)?;
+    let (engine, _) = engine_from(args)?;
     let (q, sig) = prepare(query_text, Some(first))?;
     let prepared = PreparedQuery::prepare(&q, &sig)
         .map_err(|e| e.to_string())?
@@ -219,7 +221,7 @@ fn count_stream(
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let log = StreamLog::parse(&text).map_err(|e| e.to_string())?;
     let threads = threads_from(args)?;
-    let engine = engine_with_threads_cap(args, threads)?;
+    let (engine, _) = engine_from(args)?;
     let q = parse_query(query_text).map_err(|e| e.to_string())?;
     check_against_signature(q.formula(), &log.signature).map_err(|e| e.to_string())?;
     let prepared = PreparedQuery::prepare(&q, &log.signature)
@@ -264,7 +266,7 @@ fn load_structure(args: &[String]) -> Result<Structure, String> {
 
 fn threads_from(args: &[String]) -> Result<usize, String> {
     match flag_value(args, "--threads") {
-        None => Ok(epq_counting::pool::available_threads()),
+        None => Ok(epq_pool::available_threads()),
         Some(text) => match text.parse::<usize>() {
             Ok(n) if n >= 1 => Ok(n),
             _ => Err(format!(
@@ -274,37 +276,21 @@ fn threads_from(args: &[String]) -> Result<usize, String> {
     }
 }
 
-fn engine_from(args: &[String]) -> Result<Box<dyn PpCountingEngine>, String> {
-    let threads = threads_from(args)?;
-    engine_with_threads_cap(args, threads)
-}
-
-/// [`engine_from`] with an explicit worker cap for the parallel
-/// engines (the `--batch` path pins per-job engines to one thread).
-fn engine_with_threads(
-    args: &[String],
-    threads: usize,
-) -> Result<Box<dyn PpCountingEngine>, String> {
-    // Still validate a user-provided --threads value even though the
-    // engine itself is capped.
-    let _ = threads_from(args)?;
-    engine_with_threads_cap(args, threads)
-}
-
-fn engine_with_threads_cap(
-    args: &[String],
-    threads: usize,
-) -> Result<Box<dyn PpCountingEngine>, String> {
-    match flag_value(args, "--engine").as_deref() {
-        None | Some("fpt") => Ok(Box::new(FptEngine)),
-        Some("brute-force") | Some("brute") => Ok(Box::new(BruteForceEngine)),
-        Some("relalg") => Ok(Box::new(RelalgEngine)),
-        Some("hom-dp") => Ok(Box::new(HomDpEngine)),
-        Some("fpt-par") => Ok(Box::new(ParFptEngine::new(threads))),
-        Some("brute-par") => Ok(Box::new(ParBruteForceEngine::new(threads))),
-        Some("relalg-par") => Ok(Box::new(ParRelalgEngine::new(threads))),
-        Some(other) => Err(format!("unknown engine {other:?}")),
-    }
+/// Resolves `--engine` to an engine and whether its single-structure
+/// counts shard across `--threads` workers (the `-par` aliases) or run
+/// on one.
+fn engine_from(args: &[String]) -> Result<(Box<dyn PpCountingEngine>, bool), String> {
+    let engine: (Box<dyn PpCountingEngine>, bool) = match flag_value(args, "--engine").as_deref() {
+        None | Some("fpt") => (Box::new(FptEngine), false),
+        Some("fpt-par") => (Box::new(FptEngine), true),
+        Some("brute-force") | Some("brute") => (Box::new(BruteForceEngine), false),
+        Some("brute-par") => (Box::new(BruteForceEngine), true),
+        Some("relalg") => (Box::new(RelalgEngine), false),
+        Some("relalg-par") => (Box::new(RelalgEngine), true),
+        Some("hom-dp") => (Box::new(HomDpEngine), false),
+        Some(other) => return Err(format!("unknown engine {other:?}")),
+    };
+    Ok(engine)
 }
 
 /// Parses a query, inferring the signature (or validating against the
@@ -737,5 +723,20 @@ insert E 3 3
             path.to_str().unwrap(),
         ]);
         assert_eq!(out.trim(), "1");
+    }
+
+    #[test]
+    fn par_aliases_shard_the_same_engines() {
+        // A `-par` alias is its engine at --threads workers; the plain
+        // name is the same engine on one worker.
+        for (name, engine, sharded) in [
+            ("fpt", "fpt", false),
+            ("fpt-par", "fpt", true),
+            ("brute-par", "brute-force", true),
+            ("relalg-par", "relalg", true),
+        ] {
+            let (e, s) = engine_from(&["--engine".into(), name.into()]).unwrap();
+            assert_eq!((e.name(), s), (engine, sharded), "{name}");
+        }
     }
 }

@@ -5,8 +5,8 @@
 //! * brute-force ep evaluation (syntax-directed, the ground truth);
 //! * the φ*/φ⁺ pipeline with the FPT engine (`epq-core`);
 //! * the φ*/φ⁺ pipeline with the brute-force pp engine;
-//! * the φ*/φ⁺ pipeline with the work-sharded parallel engines
-//!   (`fpt-par` / `brute-par`, at 2 and 4 threads);
+//! * the φ*/φ⁺ pipeline with each of the four engines sharded across 2
+//!   and 4 workers (`PreparedQuery::with_threads`);
 //! * relational-algebra UCQ materialization (`epq-relalg`);
 //! * disjunct-level brute union counting.
 //!
@@ -15,6 +15,7 @@
 
 use epq::prelude::*;
 use epq_counting::brute;
+use epq_counting::engines::all_engines;
 use epq_logic::dnf;
 use epq_workloads::{data, queries};
 use proptest::prelude::*;
@@ -38,30 +39,22 @@ fn check_all_paths(query: &Query, b: &Structure) {
     );
 
     for threads in [2usize, 4] {
-        let via_fpt_par =
-            epq::core::count::count_ep(query, &sig, b, &ParFptEngine::new(threads)).unwrap();
-        assert_eq!(
-            via_fpt_par, expected,
-            "φ* pipeline + fpt-par engine at {threads} threads\nquery: {query}\nB: {b}"
-        );
-        let via_brute_par =
-            epq::core::count::count_ep(query, &sig, b, &ParBruteForceEngine::new(threads)).unwrap();
-        assert_eq!(
-            via_brute_par, expected,
-            "φ* pipeline + brute-par engine at {threads} threads\nquery: {query}\nB: {b}"
-        );
+        let sharded = PreparedQuery::prepare(query, &sig)
+            .unwrap()
+            .with_threads(threads);
+        for engine in all_engines() {
+            assert_eq!(
+                sharded.count_with(b, engine.as_ref()),
+                expected,
+                "φ* pipeline + {} engine at {threads} threads\nquery: {query}\nB: {b}",
+                engine.name()
+            );
+        }
     }
 
     let ds = dnf::disjuncts(query, &sig).unwrap();
     let via_relalg = epq::relalg::count_ucq(&ds, b);
     assert_eq!(via_relalg, expected, "relalg union\nquery: {query}\nB: {b}");
-    for threads in [2usize, 4] {
-        let via_relalg_par = epq::relalg::count_ucq_par(&ds, b, threads);
-        assert_eq!(
-            via_relalg_par, expected,
-            "pool-parallel relalg union at {threads} threads\nquery: {query}\nB: {b}"
-        );
-    }
 
     let via_disjuncts = brute::count_disjuncts_brute(&ds, b);
     assert_eq!(via_disjuncts, expected, "disjunct union\nquery: {query}");

@@ -1,7 +1,7 @@
 //! F1 — counting-engine scaling on FPT-family queries, and P1 — the
 //! sequential-vs-sharded comparison.
 //!
-//! Regenerates the engine-comparison series of EXPERIMENTS.md: counting
+//! Measures the engine-comparison series of experiment F1: counting
 //! time versus structure size for a fixed bounded-treewidth query, per
 //! engine (brute force / relational algebra / #Hom-DP / FPT), plus the
 //! `fpt` and `brute-force` engines sharded across 1, 2, and 4 worker

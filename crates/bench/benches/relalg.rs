@@ -4,8 +4,8 @@
 //! primitive (join / project / union) and cardinality.
 //!
 //! The `experiments` binary's `P3` gate measures the same workloads
-//! with agreement checks and writes `BENCH_relalg.json`; this suite is
-//! the statistically-rigorous criterion view of the same comparison.
+//! with agreement checks and reports them in `BENCH.json`; this suite
+//! is the statistically-rigorous criterion view of the same comparison.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use epq_bench::naive::NaiveRelation;

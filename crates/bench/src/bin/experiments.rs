@@ -1,13 +1,15 @@
-//! Regenerates every table and series recorded in `EXPERIMENTS.md`
-//! (ids `T1`, `E1`–`E6`, `F1`–`F4`, `A1`–`A3`), plus the CI
-//! bench-smoke gates: `P1` (sharded engines vs one worker; writes
-//! `BENCH_engines.json`), `P2` (prepared-query amortization and
-//! batched counting; writes `BENCH_prepared.json`), `P3` (flat arena
-//! relations vs the seed nested-`Vec` layout; writes
-//! `BENCH_relalg.json`), and `P4` (incremental streaming maintenance
-//! vs prepare-once/recount-each-checkpoint; writes
-//! `BENCH_streaming.json`). All gates exit nonzero on any count
-//! disagreement.
+//! Prints the tables and series for the experiment ids listed in
+//! `docs/BENCHMARK.md` (`T1`, `E1`–`E6`, `F1`–`F4`, `A1`–`A3`), and runs
+//! the CI bench-smoke gates `P1` (sharded engines vs one worker), `P2`
+//! (prepared-query amortization and batched counting), `P3` (flat arena
+//! relations vs the seed nested-`Vec` layout) and `P4` (incremental
+//! streaming maintenance vs prepare-once/recount-each-checkpoint).
+//!
+//! The gates collect their rows and ratios into one [`Report`], printed
+//! as one table and written to `BENCH.json` (override the path with
+//! `EPQ_BENCH_JSON`). The binary then exits 1, naming each failed gate,
+//! if any row's result disagrees with its reference or a gated ratio
+//! (`join_speedup`, `incremental_speedup`) is below 1.0.
 //!
 //! ```sh
 //! cargo run -p epq-bench --release --bin experiments                  # all
@@ -16,9 +18,10 @@
 //! ```
 
 use epq_bench::{
-    json_escape, p4_stream_log, pp_of, row, rule, stream_incremental, stream_recount, time_engine,
-    time_us,
+    p4_stream_log, pp_of, row, rule, stream_incremental, stream_recount, time_engine, time_us,
+    timed, Report, Row,
 };
+use epq_bigint::Natural;
 use epq_core::classify::FamilyReport;
 use epq_core::count::{count_ep, count_ep_with};
 use epq_core::equivalence::{counting_equivalent, empirically_counting_equivalent};
@@ -76,17 +79,19 @@ fn main() {
     if want("F4") {
         f4_random_ucq_cancellation();
     }
-    if want("P1") {
-        p1_parallel_engines();
-    }
-    if want("P2") {
-        p2_prepared_queries();
-    }
-    if want("P3") {
-        p3_relalg_layouts();
-    }
-    if want("P4") {
-        p4_streaming();
+    let gates = [
+        ("P1", p1_parallel_engines as fn(&mut Report)),
+        ("P2", p2_prepared_queries),
+        ("P3", p3_relalg_layouts),
+        ("P4", p4_streaming),
+    ];
+    let mut report = Report::new(epq_pool::available_threads());
+    let mut ran = Vec::new();
+    for (id, run) in gates {
+        if want(id) {
+            run(&mut report);
+            ran.push(id);
+        }
     }
     if want("A1") {
         a1_distinguisher_ablation();
@@ -97,56 +102,37 @@ fn main() {
     if want("A3") {
         a3_case_two_reduction();
     }
+    if !ran.is_empty() {
+        check_gates(&report, &ran.join(", "));
+    }
 }
 
-/// One measured configuration of the P1 parallel-engine comparison.
-struct P1Row {
-    family: &'static str,
-    engine: String,
-    n: usize,
-    threads: usize,
-    median_us: f64,
-    count: String,
-    agrees: bool,
+/// Prints the gate report, writes it to `BENCH.json` (or
+/// `$EPQ_BENCH_JSON`) — before any exit, so a failed run still leaves
+/// the report behind — and exits 1 listing every failed gate.
+fn check_gates(report: &Report, ran: &str) {
+    println!("== {ran}: bench-smoke gates ==");
+    print!("{}", report.table());
+    let path = std::env::var("EPQ_BENCH_JSON").unwrap_or_else(|_| "BENCH.json".to_string());
+    let mut failures = report.failures();
+    match std::fs::write(&path, report.to_json()) {
+        Ok(()) => println!("report written to {path}"),
+        Err(e) => failures.push(format!("could not write {path}: {e}")),
+    }
+    if !failures.is_empty() {
+        for f in &failures {
+            eprintln!("FAILED: {f}");
+        }
+        std::process::exit(1);
+    }
+    println!("all counts agree and every gated ratio holds \u{2714}\n");
 }
 
 /// P1 — the `fpt` and `brute-force` engines sharded across 1/2/4
-/// workers against their one-worker runs: per-thread-count medians, the
-/// speedup at the widest setting, and a hard agreement gate.
-///
-/// Writes a machine-readable report to `BENCH_engines.json` (override
-/// the path with `EPQ_BENCH_JSON`); CI's `bench-smoke` job uploads it
-/// as an artifact. **Exits nonzero if any parallel count disagrees
-/// with the sequential one** — this is the cheap perf+correctness gate
-/// that runs on every PR.
-fn p1_parallel_engines() {
-    println!("== P1: sharded engines — speedup and agreement vs one worker ==");
-    let host = epq_pool::available_threads();
-    println!("  host threads: {host}");
-    let thread_counts = [1usize, 2, 4];
-    let mut rows: Vec<P1Row> = Vec::new();
-
-    let widths = [14, 14, 6, 8, 12, 12, 10];
-    println!(
-        "{}",
-        row(
-            &[
-                "family".into(),
-                "engine".into(),
-                "n".into(),
-                "threads".into(),
-                "median us".into(),
-                "count".into(),
-                "agree".into()
-            ],
-            &widths
-        )
-    );
-    println!("{}", rule(&widths));
-
-    // One measurement sweep per (family, n): the engine on one worker,
-    // then sharded at each thread count, with agreement checked
-    // against the one-worker count.
+/// workers: per-thread-count medians, the speedup at 4 workers, and a
+/// hard agreement gate against the 1-worker count.
+fn p1_parallel_engines(report: &mut Report) {
+    // One sweep per (family, n); the 1-worker run is the reference.
     let mut measure = |family: &'static str,
                        query: &Query,
                        sizes: &[usize],
@@ -160,56 +146,31 @@ fn p1_parallel_engines() {
                 n,
                 density,
             );
-            let (seq_count, seq_us) = time_engine(engine, &pp, &b, 1, 3);
-            rows.push(P1Row {
-                family,
-                engine: engine.name().to_string(),
-                n,
-                threads: 1,
-                median_us: seq_us,
-                count: seq_count.clone(),
-                agrees: true,
-            });
-            let mut widest_us = seq_us;
-            for &t in &thread_counts {
-                let (par_count, par_us) = time_engine(engine, &pp, &b, t, 3);
-                widest_us = par_us;
-                rows.push(P1Row {
+            let runs: Vec<(usize, String, f64)> = [1usize, 2, 4]
+                .into_iter()
+                .map(|t| {
+                    let (count, us) = time_engine(engine, &pp, &b, t, 3);
+                    (t, count, us)
+                })
+                .collect();
+            let (_, one_count, one_us) = &runs[0];
+            for (t, count, us) in &runs {
+                report.rows.push(Row {
+                    experiment: "P1",
                     family,
-                    engine: format!("{}/{}t", engine.name(), t),
+                    variant: format!("{}/{t}t", engine.name()),
                     n,
-                    threads: t,
-                    median_us: par_us,
-                    count: par_count.clone(),
-                    agrees: par_count == seq_count,
+                    threads: *t,
+                    median_us: *us,
+                    result: count.clone(),
+                    agrees: count == one_count,
                 });
             }
-            for r in &rows[rows.len() - (thread_counts.len() + 1)..] {
-                println!(
-                    "{}",
-                    row(
-                        &[
-                            r.family.into(),
-                            r.engine.clone(),
-                            r.n.to_string(),
-                            r.threads.to_string(),
-                            format!("{:.0}", r.median_us),
-                            r.count.clone(),
-                            r.agrees.to_string()
-                        ],
-                        &widths
-                    )
-                );
-            }
-            println!(
-                "  -> speedup at {} threads: {:.2}x{}",
-                thread_counts.last().unwrap(),
-                seq_us / widest_us,
-                if host < 2 {
-                    " (single-core host: expect ~1x)"
-                } else {
-                    ""
-                }
+            let widest_us = runs[runs.len() - 1].2;
+            report.ratio(
+                format!("{family}_n{n}_speedup_4t"),
+                one_us / widest_us,
+                None,
             );
         }
     };
@@ -232,357 +193,107 @@ fn p1_parallel_engines() {
         7,
         &BruteForceEngine,
     );
-
-    let disagreements = rows.iter().filter(|r| !r.agrees).count();
-    let path = std::env::var("EPQ_BENCH_JSON").unwrap_or_else(|_| "BENCH_engines.json".to_string());
-    let json = p1_json(&rows, host, disagreements);
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("  report written to {path}"),
-        Err(e) => eprintln!("  could not write {path}: {e}"),
-    }
-    if disagreements > 0 {
-        eprintln!("P1 FAILED: {disagreements} sharded count(s) disagree with one worker");
-        std::process::exit(1);
-    }
-    println!("  all sharded counts agree with one worker ✔\n");
-}
-
-/// Renders the P1 report as JSON (by hand; the container has no serde).
-fn p1_json(rows: &[P1Row], host_threads: usize, disagreements: usize) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"P1\",\n");
-    out.push_str(&format!("  \"host_threads\": {host_threads},\n"));
-    out.push_str(&format!("  \"disagreements\": {disagreements},\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"family\": \"{}\", \"engine\": \"{}\", \"n\": {}, \"threads\": {}, \
-             \"median_us\": {:.1}, \"count\": \"{}\", \"agrees\": {}}}{}\n",
-            json_escape(r.family),
-            json_escape(&r.engine),
-            r.n,
-            r.threads,
-            r.median_us,
-            json_escape(&r.count),
-            r.agrees,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// One measured configuration of the P2 prepared-query comparison.
-struct P2Row {
-    series: &'static str,
-    variant: String,
-    batch: usize,
-    threads: usize,
-    median_us: f64,
-    agrees: bool,
 }
 
 /// P2 — the prepared-query architecture: prepare-once vs
 /// prepare-per-call on a 32-structure batch, batch-vs-loop fan-out at
-/// 1/2/4 threads, and the classifier cache. Writes `BENCH_prepared.json`
-/// (override the path with `EPQ_BENCH_PREPARED_JSON`); **exits nonzero
-/// if any amortized or batched count disagrees** with the
-/// prepare-per-call sequential reference — CI's second bench-smoke
-/// gate.
-fn p2_prepared_queries() {
+/// 1/2/4 threads, and the classifier cache. Every amortized or batched
+/// count is checked against the prepare-per-call reference.
+fn p2_prepared_queries(report: &mut Report) {
     use epq_core::prepared::{classifier_cache_clear, classifier_cache_stats, PreparedQuery};
 
-    println!("== P2: prepared queries — amortized classification and batched counting ==");
-    let host = epq_pool::available_threads();
-    println!("  host threads: {host}");
     let query =
         parse_query("(w,x,y,z) := (E(x,y) & E(y,z)) | (E(z,w) & E(w,x)) | (E(w,x) & E(x,y))")
             .unwrap();
     let sig = infer_signature([query.formula()]).unwrap();
     let batch = data::random_digraph_batch(&mut StdRng::seed_from_u64(2024), 32, 10, 0.18);
-    let mut rows: Vec<P2Row> = Vec::new();
-
-    let widths = [16, 18, 8, 8, 12, 8];
-    println!(
-        "{}",
-        row(
-            &[
-                "series".into(),
-                "variant".into(),
-                "batch".into(),
-                "threads".into(),
-                "median us".into(),
-                "agree".into()
-            ],
-            &widths
-        )
-    );
-    println!("{}", rule(&widths));
-    let print_row = |r: &P2Row| {
-        println!(
-            "{}",
-            row(
-                &[
-                    r.series.into(),
-                    r.variant.clone(),
-                    r.batch.to_string(),
-                    r.threads.to_string(),
-                    format!("{:.0}", r.median_us),
-                    r.agrees.to_string()
-                ],
-                &widths
-            )
-        );
-    };
+    let n = batch.len();
 
     // The reference: the whole per-query phase redone per structure.
-    let reference: Vec<String> = batch
-        .iter()
-        .map(|b| {
-            PreparedQuery::prepare_uncached(&query, &sig)
-                .unwrap()
-                .count(b)
-                .to_string()
-        })
-        .collect();
-    let per_call_us = time_us(3, || {
-        for b in &batch {
-            let _ = PreparedQuery::prepare_uncached(&query, &sig)
-                .unwrap()
-                .count(b);
-        }
-    });
-    rows.push(P2Row {
-        series: "prepare",
-        variant: "per-call".into(),
-        batch: batch.len(),
-        threads: 1,
-        median_us: per_call_us,
-        agrees: true,
-    });
-    print_row(rows.last().unwrap());
-
-    // Prepare once, count in a sequential loop.
-    let prepared = PreparedQuery::prepare_uncached(&query, &sig).unwrap();
-    let once: Vec<String> = batch
-        .iter()
-        .map(|b| prepared.count(b).to_string())
-        .collect();
-    let once_us = time_us(3, || {
-        let p = PreparedQuery::prepare_uncached(&query, &sig).unwrap();
-        for b in &batch {
-            let _ = p.count(b);
-        }
-    });
-    rows.push(P2Row {
-        series: "prepare",
-        variant: "once+loop".into(),
-        batch: batch.len(),
-        threads: 1,
-        median_us: once_us,
-        agrees: once == reference,
-    });
-    print_row(rows.last().unwrap());
-    println!(
-        "  -> prepare-once speedup over prepare-per-call: {:.2}x (query-phase amortization; \
-thread-count independent)",
-        per_call_us / once_us
-    );
-
-    // Batched fan-out at 1/2/4 threads against the sequential loop.
-    let loop_us = time_us(3, || {
-        for b in &batch {
-            let _ = prepared.count(b);
-        }
-    });
-    rows.push(P2Row {
-        series: "batch",
-        variant: "loop".into(),
-        batch: batch.len(),
-        threads: 1,
-        median_us: loop_us,
-        agrees: true,
-    });
-    print_row(rows.last().unwrap());
-    let mut widest_us = loop_us;
-    for threads in [1usize, 2, 4] {
-        let counts: Vec<String> = prepared
-            .count_batch(&batch, threads)
+    let (refs, per_call_us) = timed(3, || {
+        batch
             .iter()
-            .map(|n| n.to_string())
-            .collect();
-        let us = time_us(3, || {
-            let _ = prepared.count_batch(&batch, threads);
-        });
-        widest_us = us;
-        rows.push(P2Row {
-            series: "batch",
-            variant: format!("pool/{threads}t"),
-            batch: batch.len(),
-            threads,
-            median_us: us,
-            agrees: counts == reference,
-        });
-        print_row(rows.last().unwrap());
+            .map(|b| {
+                PreparedQuery::prepare_uncached(&query, &sig)
+                    .unwrap()
+                    .count(b)
+            })
+            .collect::<Vec<_>>()
+    });
+    // Prepare once, count in a sequential loop.
+    let (once, once_us) = timed(3, || {
+        let p = PreparedQuery::prepare_uncached(&query, &sig).unwrap();
+        batch.iter().map(|b| p.count(b)).collect::<Vec<_>>()
+    });
+    // Batched fan-out at 1/2/4 threads against the sequential loop.
+    let prepared = PreparedQuery::prepare_uncached(&query, &sig).unwrap();
+    let (looped, loop_us) = timed(3, || batch.iter().map(|b| prepared.count(b)).collect());
+    let mut measured = vec![
+        ("prepare", "per-call".into(), 1, per_call_us, refs.clone()),
+        ("prepare", "once+loop".into(), 1, once_us, once),
+        ("batch", "loop".into(), 1, loop_us, looped),
+    ];
+    for threads in [1usize, 2, 4] {
+        let (counts, us) = timed(3, || prepared.count_batch(&batch, threads));
+        measured.push(("batch", format!("pool/{threads}t"), threads, us, counts));
     }
-    println!(
-        "  -> batch speedup at 4 threads: {:.2}x{}",
-        loop_us / widest_us,
-        if host < 2 {
-            " (single-core host: expect ~1x)"
-        } else {
-            ""
-        }
-    );
+    let widest_us = measured[measured.len() - 1].3;
+    for (family, variant, threads, median_us, counts) in measured {
+        let total = counts.iter().fold(Natural::zero(), |a, c| a + c.clone());
+        report.rows.push(Row {
+            experiment: "P2",
+            family,
+            variant,
+            n,
+            threads,
+            median_us,
+            result: total.to_string(),
+            agrees: counts == refs,
+        });
+    }
 
-    // Classifier cache: second classification of the same canonical
-    // query must be a hit.
+    // Classifier cache: the second classification of the same
+    // canonical query must be a hit.
     classifier_cache_clear();
     let before = classifier_cache_stats();
-    let cold_us = time_us(1, || {
+    let classify = || {
         let _ = PreparedQuery::prepare(&query, &sig)
             .unwrap()
             .analysis()
             .max_core_treewidth;
-    });
-    let warm_us = time_us(3, || {
-        let _ = PreparedQuery::prepare(&query, &sig)
-            .unwrap()
-            .analysis()
-            .max_core_treewidth;
-    });
-    let after = classifier_cache_stats();
-    let cache_ok = after.hits > before.hits;
-    rows.push(P2Row {
-        series: "classify",
-        variant: "cold".into(),
-        batch: 1,
-        threads: 1,
-        median_us: cold_us,
-        agrees: true,
-    });
-    print_row(rows.last().unwrap());
-    rows.push(P2Row {
-        series: "classify",
-        variant: "cached".into(),
-        batch: 1,
-        threads: 1,
-        median_us: warm_us,
-        agrees: cache_ok,
-    });
-    print_row(rows.last().unwrap());
-    println!(
-        "  -> cached classification speedup: {:.2}x (cache hits {} -> {})",
-        cold_us / warm_us,
-        before.hits,
-        after.hits
-    );
-
-    let disagreements = rows.iter().filter(|r| !r.agrees).count();
-    let path = std::env::var("EPQ_BENCH_PREPARED_JSON")
-        .unwrap_or_else(|_| "BENCH_prepared.json".to_string());
-    let json = p2_json(
-        &rows,
-        host,
-        disagreements,
-        per_call_us / once_us,
-        loop_us / widest_us,
-    );
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("  report written to {path}"),
-        Err(e) => eprintln!("  could not write {path}: {e}"),
+    };
+    let cold_us = time_us(1, classify);
+    let warm_us = time_us(3, classify);
+    let cache_hit = classifier_cache_stats().hits > before.hits;
+    for (variant, median_us, agrees) in [("cold", cold_us, true), ("cached", warm_us, cache_hit)] {
+        report.rows.push(Row {
+            experiment: "P2",
+            family: "classify",
+            variant: variant.into(),
+            n: 1,
+            threads: 1,
+            median_us,
+            result: String::new(),
+            agrees,
+        });
     }
-    if disagreements > 0 {
-        eprintln!(
-            "P2 FAILED: {disagreements} prepared/batched count(s) disagree with the reference"
-        );
-        std::process::exit(1);
-    }
-    println!("  all prepared and batched counts agree with the per-call reference \u{2714}\n");
-}
 
-/// Renders the P2 report as JSON (by hand; the container has no serde).
-fn p2_json(
-    rows: &[P2Row],
-    host_threads: usize,
-    disagreements: usize,
-    prepare_speedup: f64,
-    batch_speedup: f64,
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"P2\",\n");
-    out.push_str(&format!("  \"host_threads\": {host_threads},\n"));
-    out.push_str(&format!("  \"disagreements\": {disagreements},\n"));
-    out.push_str(&format!(
-        "  \"prepare_once_speedup\": {prepare_speedup:.2},\n"
-    ));
-    out.push_str(&format!("  \"batch_speedup\": {batch_speedup:.2},\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"series\": \"{}\", \"variant\": \"{}\", \"batch\": {}, \
-\"threads\": {}, \"median_us\": {:.1}, \"agrees\": {}}}{}\n",
-            json_escape(r.series),
-            json_escape(&r.variant),
-            r.batch,
-            r.threads,
-            r.median_us,
-            r.agrees,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// One measured configuration of the P3 layout comparison.
-struct P3Row {
-    family: &'static str,
-    op: &'static str,
-    n: usize,
-    layout: &'static str,
-    median_us: f64,
-    out_rows: usize,
-    agrees: bool,
+    report.ratio("prepare_once_speedup", per_call_us / once_us, None);
+    report.ratio("batch_speedup", loop_us / widest_us, None);
+    report.ratio("classify_cache_speedup", cold_us / warm_us, None);
 }
 
 /// P3 — the flat arena-backed `Relation` against the seed nested-`Vec`
 /// layout (`epq_bench::naive`), on identical inputs, per primitive:
 /// join-heavy (single joins at two cardinalities plus a three-way
-/// chain), projection, and union. The "naive" rows *are* the recorded
-/// seed medians — the baseline is the seed implementation, re-measured
-/// on the same machine in the same run, so the speedup column compares
-/// like with like.
-///
-/// Writes a machine-readable report to `BENCH_relalg.json` (override
-/// the path with `EPQ_BENCH_RELALG_JSON`); CI's `bench-smoke` job
-/// uploads it and gates on the recorded `join_speedup`. **Exits
-/// nonzero if any flat result disagrees with the seed layout's** —
-/// every measured operation doubles as a correctness check.
-fn p3_relalg_layouts() {
+/// chain), projection, and union. The "naive" rows *are* the seed
+/// medians, re-measured on the same machine in the same run, and every
+/// operation doubles as a row-for-row agreement check. The median
+/// join-heavy speedup is gated at `join_speedup >= 1.0`.
+fn p3_relalg_layouts(report: &mut Report) {
     use epq_bench::naive::NaiveRelation;
     use epq_bench::{p3_join_pair, p3_rows};
     use epq_relalg::Relation;
-
-    println!("== P3: relational-algebra data layouts — flat arena vs seed nested-Vec ==");
-    let mut rows: Vec<P3Row> = Vec::new();
-    let widths = [10, 9, 8, 8, 12, 10, 8];
-    println!(
-        "{}",
-        row(
-            &[
-                "family".into(),
-                "op".into(),
-                "n".into(),
-                "layout".into(),
-                "median us".into(),
-                "out rows".into(),
-                "agree".into()
-            ],
-            &widths
-        )
-    );
-    println!("{}", rule(&widths));
 
     /// Flat and naive results must be the same row set in the same
     /// canonical order.
@@ -595,47 +306,36 @@ fn p3_relalg_layouts() {
                 .all(|(a, b)| a == b.as_slice())
     }
 
-    let record = |family: &'static str,
-                  op: &'static str,
-                  n: usize,
-                  flat_out: &Relation,
-                  naive_out: &NaiveRelation,
-                  flat_us: f64,
-                  naive_us: f64,
-                  rows: &mut Vec<P3Row>| {
-        let agrees = same_rows(flat_out, naive_out);
+    /// Times `flat` and `naive` (5 runs each), records one row per
+    /// layout, and returns the naive/flat speedup.
+    fn race(
+        report: &mut Report,
+        family: &'static str,
+        op: &str,
+        n: usize,
+        flat: impl FnMut() -> Relation,
+        naive: impl FnMut() -> NaiveRelation,
+    ) -> f64 {
+        let (flat_out, flat_us) = timed(5, flat);
+        let (naive_out, naive_us) = timed(5, naive);
+        let agrees = same_rows(&flat_out, &naive_out);
         for (layout, us, out_rows) in [
             ("naive", naive_us, naive_out.len()),
             ("flat", flat_us, flat_out.len()),
         ] {
-            rows.push(P3Row {
+            report.rows.push(Row {
+                experiment: "P3",
                 family,
-                op,
+                variant: format!("{op}/{layout}"),
                 n,
-                layout,
+                threads: 1,
                 median_us: us,
-                out_rows,
+                result: out_rows.to_string(),
                 agrees,
             });
-            let r = rows.last().unwrap();
-            println!(
-                "{}",
-                row(
-                    &[
-                        r.family.into(),
-                        r.op.into(),
-                        r.n.to_string(),
-                        r.layout.into(),
-                        format!("{:.0}", r.median_us),
-                        r.out_rows.to_string(),
-                        r.agrees.to_string()
-                    ],
-                    &widths
-                )
-            );
         }
-        println!("  -> {family}/{op} n={n}: {:.2}x", naive_us / flat_us);
-    };
+        naive_us / flat_us
+    }
 
     // Join-heavy family: R(0,1) ⋈ S(1,2) at two cardinalities, plus a
     // three-way chain — the shape every pp-formula evaluation takes.
@@ -646,25 +346,14 @@ fn p3_relalg_layouts() {
         let flat_s = Relation::new(ss.clone(), sr.clone());
         let naive_r = NaiveRelation::new(rs, rr);
         let naive_s = NaiveRelation::new(ss, sr);
-        let flat_out = flat_r.join(&flat_s, 1);
-        let naive_out = naive_r.join(&naive_s);
-        let flat_us = time_us(5, || {
-            let _ = flat_r.join(&flat_s, 1);
-        });
-        let naive_us = time_us(5, || {
-            let _ = naive_r.join(&naive_s);
-        });
-        join_speedups.push(naive_us / flat_us);
-        record(
+        join_speedups.push(race(
+            report,
             "join-heavy",
             "join2",
             n,
-            &flat_out,
-            &naive_out,
-            flat_us,
-            naive_us,
-            &mut rows,
-        );
+            || flat_r.join(&flat_s, 1),
+            || naive_r.join(&naive_s),
+        ));
     }
     {
         let n = 4000usize;
@@ -677,25 +366,14 @@ fn p3_relalg_layouts() {
         let naive_r = NaiveRelation::new(rs, rr);
         let naive_s = NaiveRelation::new(ss, sr);
         let naive_t = NaiveRelation::new(ts, tr);
-        let flat_out = flat_r.join(&flat_s, 1).join(&flat_t, 1);
-        let naive_out = naive_r.join(&naive_s).join(&naive_t);
-        let flat_us = time_us(5, || {
-            let _ = flat_r.join(&flat_s, 1).join(&flat_t, 1);
-        });
-        let naive_us = time_us(5, || {
-            let _ = naive_r.join(&naive_s).join(&naive_t);
-        });
-        join_speedups.push(naive_us / flat_us);
-        record(
+        join_speedups.push(race(
+            report,
             "join-heavy",
             "chain3",
             n,
-            &flat_out,
-            &naive_out,
-            flat_us,
-            naive_us,
-            &mut rows,
-        );
+            || flat_r.join(&flat_s, 1).join(&flat_t, 1),
+            || naive_r.join(&naive_s).join(&naive_t),
+        ));
     }
 
     // Projection: arity-4 rows down to a reordered pair.
@@ -704,17 +382,15 @@ fn p3_relalg_layouts() {
         let data = p3_rows(31 + n as u64, n, &[97, 89, 7, 5]);
         let flat = Relation::new(schema.clone(), data.clone());
         let naive = NaiveRelation::new(schema, data);
-        let flat_out = flat.project(&[3, 1]);
-        let naive_out = naive.project(&[3, 1]);
-        let flat_us = time_us(5, || {
-            let _ = flat.project(&[3, 1]);
-        });
-        let naive_us = time_us(5, || {
-            let _ = naive.project(&[3, 1]);
-        });
-        record(
-            "project", "project", n, &flat_out, &naive_out, flat_us, naive_us, &mut rows,
+        let speedup = race(
+            report,
+            "project",
+            "project",
+            n,
+            || flat.project(&[3, 1]),
+            || naive.project(&[3, 1]),
         );
+        report.ratio(format!("project_n{n}_speedup"), speedup, None);
     }
 
     // Union: two same-schema sides (the UCQ disjunct accumulation).
@@ -726,179 +402,47 @@ fn p3_relalg_layouts() {
         let flat_r = Relation::new(schema.clone(), right.clone());
         let naive_l = NaiveRelation::new(schema.clone(), left);
         let naive_r = NaiveRelation::new(schema, right);
-        let flat_out = flat_l.union(&flat_r);
-        let naive_out = naive_l.union(&naive_r);
-        let flat_us = time_us(5, || {
-            let _ = flat_l.union(&flat_r);
-        });
-        let naive_us = time_us(5, || {
-            let _ = naive_l.union(&naive_r);
-        });
-        record(
-            "union", "union", n, &flat_out, &naive_out, flat_us, naive_us, &mut rows,
+        let speedup = race(
+            report,
+            "union",
+            "union",
+            n,
+            || flat_l.union(&flat_r),
+            || naive_l.union(&naive_r),
         );
+        report.ratio(format!("union_n{n}_speedup"), speedup, None);
     }
 
     // The gate statistic: the median speedup across the join-heavy
-    // family (what CI's threshold check reads).
+    // family.
     join_speedups.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let join_speedup = join_speedups[join_speedups.len() / 2];
-    let disagreements = rows.iter().filter(|r| !r.agrees).count() / 2;
-    println!("  -> join-heavy median speedup (flat over seed layout): {join_speedup:.2}x");
-
-    let path =
-        std::env::var("EPQ_BENCH_RELALG_JSON").unwrap_or_else(|_| "BENCH_relalg.json".to_string());
-    let json = p3_json(&rows, disagreements, join_speedup);
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("  report written to {path}"),
-        Err(e) => eprintln!("  could not write {path}: {e}"),
-    }
-    if disagreements > 0 {
-        eprintln!("P3 FAILED: {disagreements} flat result(s) disagree with the seed layout");
-        std::process::exit(1);
-    }
-    println!("  all flat results agree with the seed layout \u{2714}\n");
-}
-
-/// Renders the P3 report as JSON (by hand; the container has no serde).
-fn p3_json(rows: &[P3Row], disagreements: usize, join_speedup: f64) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"P3\",\n");
-    out.push_str(&format!("  \"disagreements\": {disagreements},\n"));
-    out.push_str(&format!("  \"join_speedup\": {join_speedup:.2},\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"family\": \"{}\", \"op\": \"{}\", \"n\": {}, \"layout\": \"{}\", \
-             \"median_us\": {:.1}, \"out_rows\": {}, \"agrees\": {}}}{}\n",
-            json_escape(r.family),
-            json_escape(r.op),
-            r.n,
-            json_escape(r.layout),
-            r.median_us,
-            r.out_rows,
-            r.agrees,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// One measured configuration of the P4 streaming comparison.
-struct P4Row {
-    family: &'static str,
-    variant: &'static str,
-    inserts: usize,
-    checkpoints: usize,
-    median_us: f64,
-    agrees: bool,
+    report.ratio(
+        "join_speedup",
+        join_speedups[join_speedups.len() / 2],
+        Some(1.0),
+    );
 }
 
 /// P4 — streaming maintenance: `LiveCount` (per-disjunct read sets +
 /// cached relational-algebra scans) against prepare-once/
-/// recount-each-checkpoint on the same insert log. A second, smaller
-/// family runs the DP-table fallback (`fpt` engine) for agreement.
-///
-/// Writes a machine-readable report to `BENCH_streaming.json`
-/// (override the path with `EPQ_BENCH_STREAMING_JSON`); CI's
-/// `bench-smoke` job uploads it and gates on the recorded
-/// `incremental_speedup`. **Exits nonzero if any checkpoint count
-/// disagrees** between incremental maintenance and the from-scratch
-/// recount.
-fn p4_streaming() {
+/// recount-each-checkpoint on the same insert log, gated at
+/// `incremental_speedup >= 1.0`. A second, smaller family runs the
+/// DP-table fallback (`fpt` engine) for agreement. Every checkpoint
+/// count is checked against the recount; a row's result is the count
+/// at the last checkpoint.
+fn p4_streaming(report: &mut Report) {
     use epq_counting::engines::RelalgEngine;
-
-    println!("== P4: streaming — incremental maintenance vs recount-per-checkpoint ==");
-    let mut rows: Vec<P4Row> = Vec::new();
-    let widths = [14, 14, 9, 12, 12, 8];
-    println!(
-        "{}",
-        row(
-            &[
-                "family".into(),
-                "variant".into(),
-                "inserts".into(),
-                "checkpoints".into(),
-                "median us".into(),
-                "agree".into()
-            ],
-            &widths
-        )
-    );
-    println!("{}", rule(&widths));
-    let print_row = |r: &P4Row| {
-        println!(
-            "{}",
-            row(
-                &[
-                    r.family.into(),
-                    r.variant.into(),
-                    r.inserts.to_string(),
-                    r.checkpoints.to_string(),
-                    format!("{:.0}", r.median_us),
-                    r.agrees.to_string()
-                ],
-                &widths
-            )
-        );
-    };
 
     // The gate family: a large, quiet E next to a hot F stream. The
     // E-path term dominates a full recount; incremental maintenance
     // recounts only the F-reading terms at each checkpoint.
     let query = parse_query("(x,y,z) := (E(x,y) & E(y,z)) | (F(x,y) & F(y,z))").unwrap();
     let log = p4_stream_log(48, 1600, 300, 30, 41);
-    let checkpoints = log.checkpoint_count();
-    let inserts = log.insert_count();
     let relalg: fn() -> Box<dyn PpCountingEngine> = || Box::new(RelalgEngine);
-    let reference = stream_recount(&query, &log, relalg);
-    let incremental = stream_incremental(&query, &log, relalg, 1);
-    let agrees = incremental == reference;
-    let recount_us = time_us(3, || {
-        let _ = stream_recount(&query, &log, relalg);
-    });
-    let incremental_us = time_us(3, || {
-        let _ = stream_incremental(&query, &log, relalg, 1);
-    });
-    rows.push(P4Row {
-        family: "skewed-feed",
-        variant: "recount",
-        inserts,
-        checkpoints,
-        median_us: recount_us,
-        agrees: true,
-    });
-    print_row(rows.last().unwrap());
-    rows.push(P4Row {
-        family: "skewed-feed",
-        variant: "incremental",
-        inserts,
-        checkpoints,
-        median_us: incremental_us,
-        agrees,
-    });
-    print_row(rows.last().unwrap());
-    let incremental_speedup = recount_us / incremental_us;
-    println!(
-        "  -> incremental speedup over recount-per-checkpoint: {incremental_speedup:.2}x \
-         (term reuse + scan caching; thread-count independent)"
-    );
-
+    let (refs, recount_us) = timed(3, || stream_recount(&query, &log, relalg));
+    let (incr, incr_us) = timed(3, || stream_incremental(&query, &log, relalg, 1));
     // Pool-parallel maintenance: same counts, joins sharded.
-    let par_counts = stream_incremental(&query, &log, relalg, 4);
-    let par_us = time_us(3, || {
-        let _ = stream_incremental(&query, &log, relalg, 4);
-    });
-    rows.push(P4Row {
-        family: "skewed-feed",
-        variant: "incr-par/4t",
-        inserts,
-        checkpoints,
-        median_us: par_us,
-        agrees: par_counts == reference,
-    });
-    print_row(rows.last().unwrap());
+    let (par, par_us) = timed(3, || stream_incremental(&query, &log, relalg, 4));
 
     // The DP-table fallback family (smaller: every affected term is
     // fully recounted through the fpt engine — this checks agreement,
@@ -906,62 +450,28 @@ fn p4_streaming() {
     let fallback_query = parse_query("(x,y) := (E(x,y) & E(y,x)) | F(x,y)").unwrap();
     let small = p4_stream_log(12, 60, 60, 12, 43);
     let fpt: fn() -> Box<dyn PpCountingEngine> = || Box::new(FptEngine);
-    let fb_reference = stream_recount(&fallback_query, &small, fpt);
-    let fb_incremental = stream_incremental(&fallback_query, &small, fpt, 1);
-    let fb_us = time_us(3, || {
-        let _ = stream_incremental(&fallback_query, &small, fpt, 1);
-    });
-    rows.push(P4Row {
-        family: "fallback-fpt",
-        variant: "incremental",
-        inserts: small.insert_count(),
-        checkpoints: small.checkpoint_count(),
-        median_us: fb_us,
-        agrees: fb_incremental == fb_reference,
-    });
-    print_row(rows.last().unwrap());
+    let fb_refs = stream_recount(&fallback_query, &small, fpt);
+    let (fb, fb_us) = timed(3, || stream_incremental(&fallback_query, &small, fpt, 1));
 
-    let disagreements = rows.iter().filter(|r| !r.agrees).count();
-    let path = std::env::var("EPQ_BENCH_STREAMING_JSON")
-        .unwrap_or_else(|_| "BENCH_streaming.json".to_string());
-    let json = p4_json(&rows, disagreements, incremental_speedup);
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("  report written to {path}"),
-        Err(e) => eprintln!("  could not write {path}: {e}"),
+    let (n, fb_n) = (log.insert_count(), small.insert_count());
+    for (family, variant, n, threads, median_us, counts, refs) in [
+        ("skewed-feed", "recount", n, 1, recount_us, &refs, &refs),
+        ("skewed-feed", "incremental", n, 1, incr_us, &incr, &refs),
+        ("skewed-feed", "incr-par/4t", n, 4, par_us, &par, &refs),
+        ("fallback-fpt", "incremental", fb_n, 1, fb_us, &fb, &fb_refs),
+    ] {
+        report.rows.push(Row {
+            experiment: "P4",
+            family,
+            variant: variant.into(),
+            n,
+            threads,
+            median_us,
+            result: counts.last().map(ToString::to_string).unwrap_or_default(),
+            agrees: counts == refs,
+        });
     }
-    if disagreements > 0 {
-        eprintln!(
-            "P4 FAILED: {disagreements} incremental checkpoint series disagree with recounts"
-        );
-        std::process::exit(1);
-    }
-    println!("  all incremental checkpoint counts agree with from-scratch recounts \u{2714}\n");
-}
-
-/// Renders the P4 report as JSON (by hand; the container has no serde).
-fn p4_json(rows: &[P4Row], disagreements: usize, incremental_speedup: f64) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"P4\",\n");
-    out.push_str(&format!("  \"disagreements\": {disagreements},\n"));
-    out.push_str(&format!(
-        "  \"incremental_speedup\": {incremental_speedup:.2},\n"
-    ));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"family\": \"{}\", \"variant\": \"{}\", \"inserts\": {}, \
-             \"checkpoints\": {}, \"median_us\": {:.1}, \"agrees\": {}}}{}\n",
-            json_escape(r.family),
-            json_escape(r.variant),
-            r.inserts,
-            r.checkpoints,
-            r.median_us,
-            r.agrees,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    report.ratio("incremental_speedup", recount_us / incr_us, Some(1.0));
 }
 
 /// A1 — ablation: Lemma 5.12's distinguishing structure, randomized

@@ -1,18 +1,20 @@
 //! # epq-bench — benchmark harness and experiment runner
 //!
-//! Crate S9 of the `epq` workspace (see `DESIGN.md`).
+//! The benchmark crate of the `epq` workspace (layering in
+//! `docs/ARCHITECTURE.md`, suites and ids in `docs/BENCHMARK.md`).
 //!
 //! Two entry points:
 //!
 //! * the **`experiments` binary** (`cargo run -p epq-bench --release --bin
-//!   experiments -- [ids…]`) regenerates every table and series recorded
-//!   in `EXPERIMENTS.md` (T1, E1–E6, F1–F4);
+//!   experiments -- [ids…]`) prints the tables and series for the ids
+//!   T1, E1–E6, F1–F4 and A1–A3, and runs the CI gates P1–P4, which
+//!   collect their rows into one [`Report`] written to `BENCH.json`;
 //! * the **Criterion benches** (`cargo bench -p epq-bench`) measure the
 //!   same workloads with statistical rigor, one bench target per
 //!   experiment group.
 //!
-//! This library holds the shared workload builders and measurement
-//! helpers used by both.
+//! This library holds the shared workload builders, measurement
+//! helpers and the gate report used by both.
 
 pub mod naive;
 
@@ -52,11 +54,18 @@ pub fn time_engine(
     threads: usize,
     runs: usize,
 ) -> (String, f64) {
-    let count = engine.count_threads(pp, b, threads);
-    let us = time_us(runs, || {
-        let _ = engine.count_threads(pp, b, threads);
-    });
+    let (count, us) = timed(runs, || engine.count_threads(pp, b, threads));
     (count.to_string(), us)
+}
+
+/// Runs `f` once for its result, then times `runs` more executions:
+/// (result, median µs).
+pub fn timed<T>(runs: usize, mut f: impl FnMut() -> T) -> (T, f64) {
+    let out = f();
+    let us = time_us(runs, || {
+        std::hint::black_box(f());
+    });
+    (out, us)
 }
 
 /// Deterministic random rows for the `P3` layout comparison: `n` rows,
@@ -163,9 +172,8 @@ pub fn stream_recount(
 }
 
 /// Escapes a string for inclusion in a JSON string literal (quotes,
-/// backslashes, and control characters). The experiments binary emits
-/// its machine-readable reports (`BENCH_engines.json`) by hand — the
-/// offline container has no serde.
+/// backslashes, and control characters). [`Report::to_json`] writes
+/// `BENCH.json` by hand — the workspace has no serde.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -197,6 +205,182 @@ pub fn rule(widths: &[usize]) -> String {
     "-".repeat(widths.iter().sum::<usize>() + widths.len().saturating_sub(1))
 }
 
+/// One measured configuration of a P1–P4 gate experiment.
+#[derive(Clone, Debug)]
+pub struct Row {
+    /// Experiment id (`P1`…`P4`).
+    pub experiment: &'static str,
+    /// Workload family, e.g. `qpath3` or `join-heavy`.
+    pub family: &'static str,
+    /// What was run on it, e.g. `fpt/4t` or `join2/flat`.
+    pub variant: String,
+    /// Size parameter: structure size, batch size, rows per side or
+    /// inserts.
+    pub n: usize,
+    /// Worker cap of the run.
+    pub threads: usize,
+    /// Median wall-clock microseconds.
+    pub median_us: f64,
+    /// A count or an output row count (empty when the row has none).
+    pub result: String,
+    /// Whether the result matches the experiment's reference.
+    pub agrees: bool,
+}
+
+/// A named ratio of two medians; with a `min`, it is a gate.
+#[derive(Clone, Debug)]
+pub struct Ratio {
+    /// Name, e.g. `join_speedup`.
+    pub name: String,
+    /// The measured ratio.
+    pub value: f64,
+    /// The gate's lower bound, if any.
+    pub min: Option<f64>,
+}
+
+/// The P1–P4 report: every row and ratio of one run, plus the host's
+/// hardware thread count, which a parallel speedup must be read next to.
+#[derive(Clone, Debug, Default)]
+pub struct Report {
+    /// Hardware threads available to the run.
+    pub host_threads: usize,
+    /// Measured rows, in run order.
+    pub rows: Vec<Row>,
+    /// Named ratios, in run order.
+    pub ratios: Vec<Ratio>,
+}
+
+impl Report {
+    /// An empty report for a host with `host_threads` hardware threads.
+    pub fn new(host_threads: usize) -> Self {
+        Report {
+            host_threads,
+            ..Report::default()
+        }
+    }
+
+    /// Records a ratio; `min` makes it a gate.
+    pub fn ratio(&mut self, name: impl Into<String>, value: f64, min: Option<f64>) {
+        self.ratios.push(Ratio {
+            name: name.into(),
+            value,
+            min,
+        });
+    }
+
+    /// The gate checker: one message per disagreeing row and per gated
+    /// ratio below its minimum (a NaN ratio fails too). Empty means
+    /// every gate passed.
+    pub fn failures(&self) -> Vec<String> {
+        let rows = self.rows.iter().filter(|r| !r.agrees).map(|r| {
+            format!(
+                "{} {} {} n={}: result {} disagrees with the reference",
+                r.experiment, r.family, r.variant, r.n, r.result
+            )
+        });
+        let ratios = self.ratios.iter().filter_map(|r| {
+            let min = r.min?;
+            (r.value.is_nan() || r.value < min)
+                .then(|| format!("{} = {} is below {min}", r.name, r.value))
+        });
+        rows.chain(ratios).collect()
+    }
+
+    /// The human-readable table: one line per row, then the ratios.
+    pub fn table(&self) -> String {
+        let widths = [4, 12, 16, 7, 8, 12, 12, 6];
+        let header = [
+            "exp",
+            "family",
+            "variant",
+            "n",
+            "threads",
+            "median us",
+            "result",
+            "agree",
+        ];
+        let mut lines = vec![
+            format!("host threads: {}", self.host_threads),
+            row(&header.map(String::from), &widths),
+            rule(&widths),
+        ];
+        for r in &self.rows {
+            lines.push(row(
+                &[
+                    r.experiment.into(),
+                    r.family.into(),
+                    r.variant.clone(),
+                    r.n.to_string(),
+                    r.threads.to_string(),
+                    format!("{:.0}", r.median_us),
+                    r.result.clone(),
+                    r.agrees.to_string(),
+                ],
+                &widths,
+            ));
+        }
+        for r in &self.ratios {
+            let gate = r
+                .min
+                .map(|m| format!(" (gate: >= {m})"))
+                .unwrap_or_default();
+            lines.push(format!("{}: {:.2}x{gate}", r.name, r.value));
+        }
+        lines.join("\n") + "\n"
+    }
+
+    /// `BENCH.json`: the host thread count, the disagreement count, the
+    /// ratios and one object per row. Non-finite ratios become `null`.
+    pub fn to_json(&self) -> String {
+        let number = |x: f64| {
+            if x.is_finite() {
+                format!("{x}")
+            } else {
+                "null".to_string()
+            }
+        };
+        let ratios: Vec<String> = self
+            .ratios
+            .iter()
+            .map(|r| {
+                format!(
+                    "    {{\"name\": \"{}\", \"value\": {}, \"min\": {}}}",
+                    json_escape(&r.name),
+                    number(r.value),
+                    r.min.map_or("null".to_string(), number)
+                )
+            })
+            .collect();
+        let rows: Vec<String> = self
+            .rows
+            .iter()
+            .map(|r| {
+                format!(
+                    "    {{\"experiment\": \"{}\", \"family\": \"{}\", \"variant\": \"{}\", \
+                     \"n\": {}, \"threads\": {}, \"median_us\": {:.1}, \"result\": \"{}\", \
+                     \"agrees\": {}}}",
+                    json_escape(r.experiment),
+                    json_escape(r.family),
+                    json_escape(&r.variant),
+                    r.n,
+                    r.threads,
+                    r.median_us,
+                    json_escape(&r.result),
+                    r.agrees
+                )
+            })
+            .collect();
+        format!(
+            "{{\n  \"host_threads\": {},\n  \"disagreements\": {},\n  \"ratios\": [\n{}\n  ],\n  \
+             \"rows\": [\n{}\n  ]\n}}\n",
+            self.host_threads,
+            self.rows.iter().filter(|r| !r.agrees).count(),
+            ratios.join(",\n"),
+            rows.join(",\n")
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,6 +408,61 @@ mod tests {
         assert_eq!(json_escape("plain"), "plain");
         assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
         assert_eq!(json_escape("x\n\t\u{1}"), "x\\n\\t\\u0001");
+    }
+
+    fn report_row(family: &'static str, agrees: bool) -> Row {
+        Row {
+            experiment: "P1",
+            family,
+            variant: "fpt/2t".into(),
+            n: 8,
+            threads: 2,
+            median_us: 12.5,
+            result: "42".into(),
+            agrees,
+        }
+    }
+
+    #[test]
+    fn checker_fails_a_disagreeing_row() {
+        let mut report = Report::new(2);
+        report.rows.push(report_row("a", true));
+        assert!(report.failures().is_empty());
+        report.rows.push(report_row("b", false));
+        let failures = report.failures();
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].contains("P1 b fpt/2t"), "{failures:?}");
+    }
+
+    #[test]
+    fn checker_holds_gated_ratios_to_their_minimum() {
+        let mut report = Report::new(1);
+        report.ratio("exactly_one", 1.0, Some(1.0));
+        report.ratio("ungated", 0.01, None);
+        report.ratio("ungated_nan", f64::NAN, None);
+        assert!(report.failures().is_empty(), "{:?}", report.failures());
+        report.ratio("join_speedup", 0.99, Some(1.0));
+        report.ratio("incremental_speedup", f64::NAN, Some(1.0));
+        let failures = report.failures();
+        assert_eq!(failures.len(), 2, "{failures:?}");
+        assert!(failures[0].starts_with("join_speedup = 0.99"));
+        assert!(failures[1].starts_with("incremental_speedup"));
+    }
+
+    #[test]
+    fn json_has_one_escaped_object_per_row() {
+        let mut report = Report::new(4);
+        report.rows.push(report_row("plain", true));
+        report.rows.push(report_row("quo\"te", false));
+        report.ratio("join_speedup", 3.5, Some(1.0));
+        report.ratio("batch_speedup", f64::INFINITY, None);
+        let json = report.to_json();
+        assert_eq!(json.matches("\"experiment\": \"P1\"").count(), 2);
+        assert!(json.contains("\"family\": \"quo\\\"te\""), "{json}");
+        assert!(json.contains("\"host_threads\": 4,"));
+        assert!(json.contains("\"disagreements\": 1,"));
+        assert!(json.contains("{\"name\": \"join_speedup\", \"value\": 3.5, \"min\": 1}"));
+        assert!(json.contains("\"value\": null, \"min\": null"));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! scans per column, and a union that clones every row and re-sorts the
 //! whole set. The `P3` experiment and the `relalg` bench suite run it
 //! head-to-head against the flat layout on identical inputs: the
-//! old-vs-new medians in `BENCH_relalg.json` come from here, and any
+//! naive-layout P3 rows of `BENCH.json` come from here, and any
 //! row-set disagreement fails the experiment — the baseline doubles as
 //! a correctness oracle for the rewrite.
 //!

@@ -1,7 +1,7 @@
 //! # epq-bigint — exact arbitrary-precision arithmetic
 //!
-//! Substrate crate S1 of the `epq` workspace (see `DESIGN.md` at the
-//! workspace root).
+//! A substrate crate of the `epq` workspace (see the dependency map in
+//! `docs/ARCHITECTURE.md`).
 //!
 //! Counting answers to a query φ(V) on a structure **B** can yield values as
 //! large as |B|^|V|, and the oracle interreductions of Chen & Mengel

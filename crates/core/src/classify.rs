@@ -175,8 +175,8 @@ impl FamilyReport {
     }
 
     /// The regime suggested by the measured growth: growing widths are
-    /// read as "unbounded" (correct for the monotone families in the
-    /// benchmark catalog; documented in EXPERIMENTS.md).
+    /// read as "unbounded" (correct for the monotone families of the
+    /// trichotomy table, experiment `T1` of the `experiments` binary).
     pub fn inferred_regime(&self) -> Regime {
         if self.contract_treewidth_grows() {
             Regime::SharpCliqueHard

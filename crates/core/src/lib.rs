@@ -1,6 +1,6 @@
 //! # epq-core — Chen & Mengel's classification, executable
 //!
-//! The primary crate of the `epq` workspace (S7 in `DESIGN.md`): the
+//! The primary crate of the `epq` workspace (see `docs/ARCHITECTURE.md`): the
 //! original contributions of *"Counting Answers to Existential Positive
 //! Queries: A Complexity Classification"* (PODS 2016), implemented as
 //! running code on top of the substrate crates.

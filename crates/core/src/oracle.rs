@@ -27,11 +27,18 @@
 //!    on `B × C_ψ` where `C_ψ` is `ψ`'s own structure — on every queried
 //!    product the factor `C_ψ` falsifies *all* sentence disjuncts (ψ
 //!    entails none of them), so the φ-oracle agrees with the φ_af-oracle
-//!    there. (The appendix uses the disjoint union of all `φ⁻_af`
-//!    structures instead; with *disconnected* sentence disjuncts that
-//!    union can accidentally satisfy a sentence disjunct no single member
-//!    entails, so we use the per-target structure — same spirit, verified
-//!    correct. The deviation is documented in DESIGN.md.)
+//!    there: a homomorphism from a sentence disjunct into `B' × C_ψ`
+//!    projects to one into `C_ψ`, which would mean ψ entails it.
+//!
+//!    This deliberately deviates from the appendix, which uses the
+//!    disjoint union of all `φ⁻_af` structures. With a *disconnected*
+//!    sentence disjunct `θ₁ ∧ θ₂` that union can satisfy the sentence
+//!    even though no single member entails it (`θ₁` maps into one
+//!    member's structure, `θ₂` into another's), and then the φ-oracle
+//!    and the φ_af-oracle disagree on the queried products. The
+//!    per-target structure keeps the appendix's argument and avoids
+//!    that case; `tests/oracle_roundtrip.rs` checks the recovered counts
+//!    against direct counting on queries with sentence disjuncts.
 
 use crate::equivalence::semi_counting_equivalent;
 use crate::iex::SignedPp;

@@ -1,6 +1,7 @@
 //! # epq-counting — answer-counting engines
 //!
-//! Substrate crate S6 of the `epq` workspace (see `DESIGN.md`).
+//! A substrate crate of the `epq` workspace (see the dependency map in
+//! `docs/ARCHITECTURE.md`).
 //!
 //! The trichotomy theorem is about the complexity of computing `|φ(B)|`.
 //! This crate implements the algorithms on both sides of the tractability

@@ -1,6 +1,7 @@
 //! # epq-logic — existential positive queries as syntax and as structures
 //!
-//! Substrate crate S4 of the `epq` workspace (see `DESIGN.md`).
+//! A substrate crate of the `epq` workspace (see the dependency map in
+//! `docs/ARCHITECTURE.md`).
 //!
 //! This crate implements the logical side of Chen & Mengel's paper:
 //!

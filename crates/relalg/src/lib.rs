@@ -1,6 +1,7 @@
 //! # epq-relalg — a select–project–join–union baseline engine
 //!
-//! Substrate crate S5 of the `epq` workspace (see `DESIGN.md`).
+//! A substrate crate of the `epq` workspace (see the dependency map in
+//! `docs/ARCHITECTURE.md`).
 //!
 //! Unions of conjunctive queries are exactly the select–project–join–union
 //! queries of relational algebra (the paper's introduction cites them as

@@ -1,6 +1,7 @@
 //! # epq-structures — finite relational structures and homomorphisms
 //!
-//! Substrate crate S3 of the `epq` workspace (see `DESIGN.md`).
+//! A substrate crate of the `epq` workspace (see the dependency map in
+//! `docs/ARCHITECTURE.md`).
 //!
 //! Chen & Mengel's development lives entirely in the world of finite
 //! relational structures: queries are structures via the Chandra–Merlin

@@ -196,10 +196,24 @@ fn parse_one(c: &mut Cursor) -> Result<Structure, ParseError> {
         });
     }
 
-    // Build the signature.
+    // Build the signature; `Signature::add_symbol` asserts what is
+    // checked here.
     let mut sig = Signature::new();
     for clause in &clauses {
+        if sig.lookup(&clause.name).is_some() {
+            return Err(ParseError {
+                message: format!("duplicate relation {}", clause.name),
+            });
+        }
         let arity = match (clause.declared_arity, clause.tuples.first()) {
+            (Some(0), _) => {
+                return Err(ParseError {
+                    message: format!(
+                        "relation {} declares arity 0; arities are >= 1",
+                        clause.name
+                    ),
+                })
+            }
             (Some(a), _) => a,
             (None, Some(t)) => t.len(),
             (None, None) => {
@@ -275,6 +289,17 @@ mod tests {
         let s = parse_structure("structure { universe 2 E/2 = { } }").unwrap();
         assert_eq!(s.signature().arity(s.signature().lookup("E").unwrap()), 2);
         assert_eq!(s.tuple_count(), 0);
+    }
+
+    #[test]
+    fn rejects_zero_arity_and_duplicate_relations() {
+        let err = parse_structure("structure { universe 2 E/0 = { } }").unwrap_err();
+        assert!(err.message.contains("arity 0"), "{err}");
+        let dup = "structure { universe 2 E/2 = { (0,1) } E/2 = { (1,0) } }";
+        let err = parse_structure(dup).unwrap_err();
+        assert!(err.message.contains("duplicate relation E"), "{err}");
+        let batch = format!("structure {{ universe 1 }} {dup}");
+        assert!(parse_structures(&batch).is_err());
     }
 
     #[test]

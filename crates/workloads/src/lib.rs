@@ -1,6 +1,7 @@
 //! # epq-workloads — query families and data generators
 //!
-//! Substrate crate S8 of the `epq` workspace (see `DESIGN.md`).
+//! A substrate crate of the `epq` workspace (see the dependency map in
+//! `docs/ARCHITECTURE.md`).
 //!
 //! The benchmark experiments and examples need reproducible workloads:
 //!

@@ -1,6 +1,6 @@
-//! The `epq` binary turns oversized and overly nested queries into a
-//! one-line `epq: …` error with exit status 1 — not a panic (exit 101)
-//! or a stack overflow (exit 134).
+//! The `epq` binary turns oversized and overly nested queries, and
+//! malformed structures, into a one-line `epq: …` error with exit
+//! status 1 — not a panic (exit 101) or a stack overflow (exit 134).
 
 use std::process::Command;
 
@@ -61,4 +61,28 @@ fn ten_thousand_parentheses_exit_1() {
     for sub in ["classify", "plus", "star"] {
         assert_clean_failure(&[sub, "--query", &query], "nesting too deep");
     }
+}
+
+#[test]
+fn zero_arity_and_duplicate_relations_exit_1() {
+    let dir = std::env::temp_dir().join(format!("epq-cli-errors-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (structure, needle) in [
+        ("structure { universe 2 E/0 = { } }", "arity 0"),
+        (
+            "structure { universe 2 E/2 = { (0,1) } E/2 = { (1,0) } }",
+            "duplicate relation E",
+        ),
+    ] {
+        let file = dir.join("structure.txt");
+        std::fs::write(&file, structure).unwrap();
+        let file = file.to_str().unwrap();
+        assert_clean_failure(&["count", "--query", "E(x,y)", "--data", file], needle);
+        assert_clean_failure(&["count", "--query", "E(x,y)", "--batch", file], needle);
+        assert_clean_failure(
+            &["count", "--query", "E(x,y)", "--data-inline", structure],
+            needle,
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }

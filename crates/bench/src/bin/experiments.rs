@@ -920,7 +920,7 @@ fn f1_engine_scaling() {
     for n in [8usize, 16, 32, 64, 128] {
         let b = data::random_digraph(&mut StdRng::seed_from_u64(n as u64), n, 0.08);
         let mut cells = vec![n.to_string()];
-        let mut count = String::new();
+        let mut counts = Vec::new();
         for engine in all_engines() {
             let runs = if engine.name() == "brute-force" && n > 64 {
                 1
@@ -928,10 +928,14 @@ fn f1_engine_scaling() {
                 3
             };
             let (c, us) = time_engine(engine.as_ref(), &pp, &b, 1, runs);
-            count = c;
+            counts.push((engine.name(), c));
             cells.push(format!("{us:.0}"));
         }
-        cells.insert(1, count);
+        let (first, want) = &counts[0];
+        for (name, c) in &counts[1..] {
+            assert_eq!(c, want, "F1 n={n}: {name} disagrees with {first}");
+        }
+        cells.insert(1, want.clone());
         println!("{}", row(&cells, &widths));
     }
     println!("  (all engines agree on counts; FPT/hom-dp/relalg scale polynomially)\n");
@@ -959,8 +963,11 @@ fn f1_engine_scaling() {
     for k in [2usize, 3, 4, 5, 6] {
         let pp = pp_of(&queries::path_query(k));
         let (count, brute_us) = time_engine(&BruteForceEngine, &pp, &b, 1, 1);
-        let (_, dp_us) = time_engine(&HomDpEngine, &pp, &b, 1, 3);
-        let (_, fpt_us) = time_engine(&FptEngine, &pp, &b, 1, 3);
+        let (dp_count, dp_us) = time_engine(&HomDpEngine, &pp, &b, 1, 3);
+        let (fpt_count, fpt_us) = time_engine(&FptEngine, &pp, &b, 1, 3);
+        for (name, c) in [("hom-dp", &dp_count), ("fpt", &fpt_count)] {
+            assert_eq!(c, &count, "F1b k={k}: {name} disagrees with brute-force");
+        }
         println!(
             "{}",
             row(

@@ -1,20 +1,17 @@
 //! # epq-bench — benchmark harness and experiment runner
 //!
 //! The benchmark crate of the `epq` workspace (layering in
-//! `docs/ARCHITECTURE.md`, suites and ids in `docs/BENCHMARK.md`).
+//! `docs/ARCHITECTURE.md`, experiment ids in `docs/BENCHMARK.md`).
 //!
-//! Two entry points:
+//! Its one entry point is the **`experiments` binary** (`cargo run -p
+//! epq-bench --release --bin experiments -- [ids…]`). It prints the
+//! tables and series for the ids T1, E1–E6, F1–F4 and A1–A3, and runs
+//! the CI gates P1–P4, which collect their rows into one [`Report`]
+//! written to `BENCH.json`. Timings are medians of a few wall-clock
+//! runs ([`time_us`], [`timed`]).
 //!
-//! * the **`experiments` binary** (`cargo run -p epq-bench --release --bin
-//!   experiments -- [ids…]`) prints the tables and series for the ids
-//!   T1, E1–E6, F1–F4 and A1–A3, and runs the CI gates P1–P4, which
-//!   collect their rows into one [`Report`] written to `BENCH.json`;
-//! * the **Criterion benches** (`cargo bench -p epq-bench`) measure the
-//!   same workloads with statistical rigor, one bench target per
-//!   experiment group.
-//!
-//! This library holds the shared workload builders, measurement
-//! helpers and the gate report used by both.
+//! This library holds the workload builders, measurement helpers and
+//! gate report the binary uses, kept here so they can be unit-tested.
 
 pub mod naive;
 
@@ -96,8 +93,7 @@ pub fn p3_join_pair(n: usize) -> ((Vec<u32>, Vec<Vec<u32>>), (Vec<u32>, Vec<Vec<
 /// checkpoint at its end), then a hot stream into `F` with a
 /// checkpoint every `checkpoint_every` inserts — the traffic shape
 /// where most writes land on one relation while the query also reads
-/// a large, quiet one. Shared by the `P4` experiment gate and the
-/// `streaming` bench suite so both measure the same pipeline.
+/// a large, quiet one.
 pub fn p4_stream_log(
     n: usize,
     seed_inserts: usize,

@@ -6,11 +6,11 @@
 //! per row), hash joins keyed on per-row `Vec<u32>` keys (one more
 //! allocation per build *and* probe row), linear schema-intersection
 //! scans per column, and a union that clones every row and re-sorts the
-//! whole set. The `P3` experiment and the `relalg` bench suite run it
-//! head-to-head against the flat layout on identical inputs: the
-//! naive-layout P3 rows of `BENCH.json` come from here, and any
-//! row-set disagreement fails the experiment — the baseline doubles as
-//! a correctness oracle for the rewrite.
+//! whole set. The `P3` experiment runs it head-to-head against the
+//! flat layout on identical inputs: the naive-layout P3 rows of
+//! `BENCH.json` come from here, and any row-set disagreement fails the
+//! experiment — the baseline doubles as a correctness oracle for the
+//! rewrite.
 //!
 //! Deliberately **not** optimized. Fixes belong in `epq_relalg`; this
 //! module only changes if the seed semantics were wrong.

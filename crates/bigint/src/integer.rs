@@ -78,11 +78,6 @@ impl Integer {
         self.sign == Sign::Negative
     }
 
-    /// Whether this is strictly positive.
-    pub fn is_positive(&self) -> bool {
-        self.sign == Sign::Positive
-    }
-
     /// Absolute value.
     pub fn abs(&self) -> Integer {
         Integer::from_sign_magnitude(

@@ -88,11 +88,6 @@ impl Natural {
         }
     }
 
-    /// Converts to `usize` if it fits.
-    pub fn to_usize(&self) -> Option<usize> {
-        self.to_u64().and_then(|v| usize::try_from(v).ok())
-    }
-
     /// Converts to `f64` (approximately, for reporting only).
     pub fn to_f64(&self) -> f64 {
         let mut acc = 0.0f64;

@@ -15,9 +15,10 @@
 //! algorithm by default), which is what makes the whole pipeline FPT when
 //! `φ⁺` satisfies the tractability condition.
 
+use crate::iex::signed_sum;
 use crate::plus::PlusDecomposition;
 use crate::prepared::PreparedQuery;
-use epq_bigint::{Integer, Natural};
+use epq_bigint::Natural;
 use epq_counting::engines::PpCountingEngine;
 use epq_logic::query::LogicError;
 use epq_logic::Query;
@@ -51,16 +52,9 @@ pub fn count_ep_with(
     // No sentence disjunct holds: terms outside φ⁻_af count 0. The
     // membership mask is precomputed at decomposition time, so this
     // per-structure hot path allocates nothing per call.
-    let mut acc = Integer::zero();
-    for (term, &kept) in decomposition.star_af.iter().zip(&decomposition.kept) {
-        if !kept {
-            continue;
-        }
-        let count = Integer::from(engine.count_threads(&term.formula, b, threads));
-        acc += &(&term.coefficient * &count);
-    }
-    assert!(!acc.is_negative(), "ep count must be non-negative");
-    acc.into_magnitude()
+    signed_sum(decomposition.kept_terms(), |_, term| {
+        engine.count_threads(&term.formula, b, threads)
+    })
 }
 
 /// Counts `|φ(B)|` for an arbitrary ep-query: the paper's counting

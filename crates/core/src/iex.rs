@@ -122,10 +122,22 @@ pub fn evaluate_signed_sum(
     b: &Structure,
     engine: &dyn PpCountingEngine,
 ) -> Natural {
+    signed_sum(terms.iter().enumerate(), |_, term| {
+        engine.count(&term.formula, b)
+    })
+}
+
+/// The one signed-sum loop behind every `φ*` evaluation: `Σ cᵢ·nᵢ` over
+/// the indexed `terms`, where `count(i, term)` supplies `nᵢ = |φᵢ(B)|`
+/// (an engine call, or a cached count). The result is a count, hence
+/// non-negative; this is asserted.
+pub(crate) fn signed_sum<'a>(
+    terms: impl IntoIterator<Item = (usize, &'a SignedPp)>,
+    mut count: impl FnMut(usize, &'a SignedPp) -> Natural,
+) -> Natural {
     let mut acc = Integer::zero();
-    for term in terms {
-        let count = Integer::from(engine.count(&term.formula, b));
-        acc += &(&term.coefficient * &count);
+    for (i, term) in terms {
+        acc += &(&term.coefficient * &Integer::from(count(i, term)));
     }
     assert!(
         !acc.is_negative(),

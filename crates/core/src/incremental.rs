@@ -38,8 +38,9 @@
 //! proptests, and the `P4` experiment gate).
 
 use crate::count::sentence_holds;
+use crate::iex::signed_sum;
 use crate::prepared::PreparedQuery;
-use epq_bigint::{Integer, Natural};
+use epq_bigint::Natural;
 use epq_logic::PpFormula;
 use epq_relalg::{count_pp_cached, ScanCache};
 use epq_structures::{LiveStructure, RelId, StreamOp, Structure};
@@ -279,11 +280,7 @@ impl LiveCount {
         } else {
             // The signed φ*_af sum over the kept terms, recounting
             // exactly the terms that read a dirty relation.
-            let mut acc = Integer::zero();
-            for (i, term) in dec.star_af.iter().enumerate() {
-                if !dec.kept[i] {
-                    continue;
-                }
+            signed_sum(dec.kept_terms(), |i, term| {
                 let stale = term_counts[i].is_none() || reads_any(&term_reads[i], &dirty);
                 if stale {
                     stats.term_recounts += 1;
@@ -297,11 +294,8 @@ impl LiveCount {
                 } else {
                     stats.term_reuses += 1;
                 }
-                let count = term_counts[i].as_ref().expect("just reconciled");
-                acc += &(&term.coefficient * &Integer::from(count.clone()));
-            }
-            assert!(!acc.is_negative(), "ep count must be non-negative");
-            acc.into_magnitude()
+                term_counts[i].clone().expect("just reconciled")
+            })
         };
         self.live.clear_dirty();
         self.total = Some(total.clone());

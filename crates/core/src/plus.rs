@@ -49,20 +49,15 @@ impl PlusDecomposition {
     /// do not entail any sentence disjunct), derived from
     /// [`PlusDecomposition::kept`].
     pub fn minus_af(&self) -> Vec<usize> {
-        self.kept
-            .iter()
-            .enumerate()
-            .filter(|(_, &k)| k)
-            .map(|(i, _)| i)
-            .collect()
+        self.kept_terms().map(|(i, _)| i).collect()
     }
 
-    /// The formulas of `φ⁻_af`.
-    pub fn minus_af_formulas(&self) -> Vec<&PpFormula> {
-        self.minus_af()
-            .into_iter()
-            .map(|i| &self.star_af[i].formula)
-            .collect()
+    /// The `φ⁻_af` terms of `star_af`, with their indices.
+    pub(crate) fn kept_terms(&self) -> impl Iterator<Item = (usize, &SignedPp)> {
+        self.star_af
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| self.kept[i])
     }
 }
 
@@ -239,11 +234,6 @@ mod tests {
             assert_eq!(
                 dec.minus_af().len(),
                 dec.kept.iter().filter(|&&k| k).count(),
-                "{text}"
-            );
-            assert_eq!(
-                dec.minus_af_formulas().len(),
-                dec.minus_af().len(),
                 "{text}"
             );
         }

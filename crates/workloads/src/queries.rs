@@ -10,8 +10,7 @@
 //! * growing contract treewidth (free cliques, free grids) — the
 //!   #Clique-hard regime.
 
-use epq_logic::query::infer_signature;
-use epq_logic::{parser, Formula, Query, Var};
+use epq_logic::{Formula, Query, Var};
 use epq_structures::Signature;
 use rand::Rng;
 
@@ -239,16 +238,10 @@ fn random_ucq_with<R: Rng>(
     Query::from_formula(Formula::disjunction(parts)).expect("valid random UCQ")
 }
 
-/// Parses a catalog entry; panics on error (catalog strings are static).
-pub fn parse_static(text: &str) -> (Query, Signature) {
-    let q = parser::parse_query(text).expect("static catalog query parses");
-    let sig = infer_signature([q.formula()]).expect("static catalog signature");
-    (q, sig)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use epq_logic::query::infer_signature;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -63,7 +63,54 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let io = |e: std::io::Error| format!("I/O error: {e}");
     match args.first().map(String::as_str) {
         None | Some("help") | Some("--help") | Some("-h") => write!(out, "{USAGE}").map_err(io),
-        Some("count") => {
+        Some(sub @ ("count" | "classify" | "star" | "plus" | "equiv" | "explain")) => {
+            check_flags(&args[1..])?;
+            run_subcommand(sub, &args[1..], out)
+        }
+        Some(other) => Err(format!("unknown subcommand {other:?}; try `epq help`")),
+    }
+}
+
+/// The flags the subcommands read, each followed by one value.
+const FLAGS: [&str; 8] = [
+    "--query",
+    "--query2",
+    "--data",
+    "--data-inline",
+    "--batch",
+    "--stream",
+    "--engine",
+    "--threads",
+];
+
+/// Reads `args` (everything after the subcommand) as `--flag value`
+/// pairs in one pass: every flag must be one of [`FLAGS`], appear at
+/// most once, and be followed by a value that is not itself a flag.
+fn check_flags(args: &[String]) -> Result<(), String> {
+    let mut seen: Vec<&str> = Vec::new();
+    let mut rest = args;
+    while let [flag, tail @ ..] = rest {
+        let flag = flag.as_str();
+        if !FLAGS.contains(&flag) {
+            return Err(format!("unknown flag {flag:?}; try `epq help`"));
+        }
+        if seen.contains(&flag) {
+            return Err(format!("{flag} given more than once"));
+        }
+        match tail {
+            [value, tail @ ..] if !FLAGS.contains(&value.as_str()) => rest = tail,
+            _ => return Err(format!("missing required {flag} <value>")),
+        }
+        seen.push(flag);
+    }
+    Ok(())
+}
+
+/// Runs one subcommand on its flags, already read by [`check_flags`].
+fn run_subcommand(sub: &str, args: &[String], out: &mut dyn Write) -> Result<(), String> {
+    let io = |e: std::io::Error| format!("I/O error: {e}");
+    match sub {
+        "count" => {
             let query = required(args, "--query")?;
             if let Some(path) = flag_value(args, "--batch") {
                 return count_batch(args, &query, &path, out);
@@ -81,7 +128,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
                 .with_threads(if sharded { threads } else { 1 });
             writeln!(out, "{}", prepared.count(&b)).map_err(io)
         }
-        Some("classify") => {
+        "classify" => {
             let query = required(args, "--query")?;
             let (q, sig) = prepare(&query, None)?;
             let analysis = classify_query(&q, &sig).map_err(|e| e.to_string())?;
@@ -109,7 +156,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
             )
             .map_err(io)
         }
-        Some("star") => {
+        "star" => {
             let query = required(args, "--query")?;
             let (q, sig) = prepare(&query, None)?;
             let ds = dnf::disjuncts(&q, &sig).map_err(|e| e.to_string())?;
@@ -126,7 +173,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
             }
             Ok(())
         }
-        Some("plus") => {
+        "plus" => {
             let query = required(args, "--query")?;
             let (q, sig) = prepare(&query, None)?;
             let dec = plus_decomposition(&q, &sig).map_err(|e| e.to_string())?;
@@ -144,7 +191,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
             }
             Ok(())
         }
-        Some("equiv") => {
+        "equiv" => {
             let q1 = required(args, "--query")?;
             let q2 = required(args, "--query2")?;
             let (a, b) = prepare_pair(&q1, &q2)?;
@@ -159,7 +206,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
             }
             Ok(())
         }
-        Some("explain") => {
+        "explain" => {
             let query = required(args, "--query")?;
             let b = load_structure(args)?;
             let (q, sig) = prepare(&query, Some(&b))?;
@@ -172,7 +219,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
             }
             Ok(())
         }
-        Some(other) => Err(format!("unknown subcommand {other:?}; try `epq help`")),
+        _ => unreachable!("run only dispatches known subcommands"),
     }
 }
 
@@ -243,10 +290,12 @@ fn count_stream(
     Ok(())
 }
 
+/// The value of `flag` in `--flag value` pairs already read by
+/// [`check_flags`].
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
+    args.chunks(2)
+        .find(|pair| pair[0] == flag)
+        .and_then(|pair| pair.get(1))
         .cloned()
 }
 
@@ -536,6 +585,20 @@ mod tests {
     fn flag_without_value_is_reported() {
         // A flag in final position has no value to consume.
         assert!(run_err(&["count", "--query"]).contains("missing required --query"));
+        let count = ["count", "--query", "E(x,y)", "--data-inline", DATA];
+        for (extra, needle) in [
+            (&["--engine"][..], "missing required --engine"),
+            (&["--threads"][..], "missing required --threads"),
+            (
+                &["--engine", "--threads", "1"][..],
+                "missing required --engine",
+            ),
+            (&["--thread", "1"][..], "unknown flag \"--thread\""),
+            (&["--query", "F(x,y)"][..], "--query given more than once"),
+        ] {
+            let err = run_err(&[&count[..], extra].concat());
+            assert!(err.contains(needle), "{extra:?}: got {err}");
+        }
     }
 
     #[test]

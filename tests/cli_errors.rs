@@ -1,6 +1,7 @@
-//! The `epq` binary turns oversized and overly nested queries, and
-//! malformed structures, into a one-line `epq: …` error with exit
-//! status 1 — not a panic (exit 101) or a stack overflow (exit 134).
+//! The `epq` binary turns oversized and overly nested queries,
+//! malformed structures and malformed flags into a one-line `epq: …`
+//! error with exit status 1 — not a panic (exit 101), a stack overflow
+//! (exit 134) or a silently ignored argument (exit 0).
 
 use std::process::Command;
 
@@ -85,4 +86,23 @@ fn zero_arity_and_duplicate_relations_exit_1() {
         );
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn valueless_unknown_and_repeated_flags_exit_1() {
+    let count = [
+        "count",
+        "--query",
+        "E(x,y)",
+        "--data-inline",
+        "structure { universe 2 E = { (0,1) } }",
+    ];
+    for (extra, needle) in [
+        (&["--engine"][..], "missing required --engine"),
+        (&["--threads"][..], "missing required --threads"),
+        (&["--thread", "1"][..], "unknown flag"),
+        (&["--query", "F(x,y)"][..], "given more than once"),
+    ] {
+        assert_clean_failure(&[&count[..], extra].concat(), needle);
+    }
 }

@@ -209,24 +209,25 @@ fn p2_prepared_queries(report: &mut Report) {
     let batch = data::random_digraph_batch(&mut StdRng::seed_from_u64(2024), 32, 10, 0.18);
     let n = batch.len();
 
+    // A prepare on a cold classifier cache: the whole per-query phase.
+    let cold_prepare = || {
+        classifier_cache_clear();
+        PreparedQuery::prepare(&query, &sig).unwrap()
+    };
     // The reference: the whole per-query phase redone per structure.
     let (refs, per_call_us) = timed(3, || {
         batch
             .iter()
-            .map(|b| {
-                PreparedQuery::prepare_uncached(&query, &sig)
-                    .unwrap()
-                    .count(b)
-            })
+            .map(|b| cold_prepare().count(b))
             .collect::<Vec<_>>()
     });
     // Prepare once, count in a sequential loop.
     let (once, once_us) = timed(3, || {
-        let p = PreparedQuery::prepare_uncached(&query, &sig).unwrap();
+        let p = cold_prepare();
         batch.iter().map(|b| p.count(b)).collect::<Vec<_>>()
     });
     // Batched fan-out at 1/2/4 threads against the sequential loop.
-    let prepared = PreparedQuery::prepare_uncached(&query, &sig).unwrap();
+    let prepared = PreparedQuery::prepare(&query, &sig).unwrap();
     let (looped, loop_us) = timed(3, || batch.iter().map(|b| prepared.count(b)).collect());
     let mut measured = vec![
         ("prepare", "per-call".into(), 1, per_call_us, refs.clone()),

@@ -132,7 +132,7 @@ pub fn stream_incremental(
     engine: fn() -> Box<dyn PpCountingEngine>,
     threads: usize,
 ) -> Vec<epq_bigint::Natural> {
-    let prepared = epq_core::prepared::PreparedQuery::prepare_uncached(query, &log.signature)
+    let prepared = epq_core::prepared::PreparedQuery::prepare(query, &log.signature)
         .expect("query prepares")
         .with_engine(engine());
     let mut live = epq_core::incremental::LiveCount::new(prepared, log.open())
@@ -149,7 +149,7 @@ pub fn stream_recount(
     log: &epq_structures::live::StreamLog,
     engine: fn() -> Box<dyn PpCountingEngine>,
 ) -> Vec<epq_bigint::Natural> {
-    let prepared = epq_core::prepared::PreparedQuery::prepare_uncached(query, &log.signature)
+    let prepared = epq_core::prepared::PreparedQuery::prepare(query, &log.signature)
         .expect("query prepares")
         .with_engine(engine());
     let mut live = log.open();

@@ -82,9 +82,8 @@ pub struct QueryAnalysis {
 
 /// Computes `φ⁺` and analyzes every formula in it.
 ///
-/// This is the uncached primitive; [`crate::prepared::classify_query_cached`]
-/// (and [`crate::prepared::PreparedQuery`]) memoize the result process-wide
-/// by the query's canonical form.
+/// This is the uncached primitive; [`crate::prepared::PreparedQuery`]
+/// memoizes the result process-wide by the query's canonical form.
 pub fn classify_query(query: &Query, signature: &Signature) -> Result<QueryAnalysis, LogicError> {
     let dec = plus_decomposition(query, signature)?;
     Ok(analyze_decomposition(&dec))

@@ -23,14 +23,10 @@
 use crate::equivalence::counting_equivalent;
 use epq_bigint::{Integer, Natural};
 use epq_counting::PpCountingEngine;
+use epq_logic::dnf::MAX_EXPANSION_DISJUNCTS;
 use epq_logic::query::LogicError;
 use epq_logic::PpFormula;
 use epq_structures::Structure;
-
-/// The largest disjunct count the inclusion–exclusion expansion
-/// accepts: `2^24 − 1` raw terms is already far beyond any practical
-/// query (the formula is the parameter).
-pub const MAX_EXPANSION_DISJUNCTS: usize = 24;
 
 /// Checks that `s` disjuncts are within [`MAX_EXPANSION_DISJUNCTS`] —
 /// the typed error every user-reachable route into

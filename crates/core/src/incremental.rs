@@ -321,7 +321,7 @@ mod tests {
     fn prepare(text: &str) -> PreparedQuery {
         let q = parse_query(text).unwrap();
         let sig = infer_signature([q.formula()]).unwrap();
-        PreparedQuery::prepare_uncached(&q, &sig).unwrap()
+        PreparedQuery::prepare(&q, &sig).unwrap()
     }
 
     fn live_for(prepared: &PreparedQuery, n: usize) -> LiveStructure {
@@ -538,7 +538,7 @@ mod tests {
         )
         .unwrap();
         let q = parse_query("(x) := exists u . E(x,u)").unwrap();
-        let prepared = PreparedQuery::prepare_uncached(&q, &log.signature)
+        let prepared = PreparedQuery::prepare(&q, &log.signature)
             .unwrap()
             .with_engine(Box::new(RelalgEngine));
         let mut lc = LiveCount::new(prepared, log.open()).unwrap();

@@ -53,6 +53,5 @@ pub use iex::{inclusion_exclusion_terms, star, SignedPp};
 pub use incremental::{LiveCount, LiveCountStats};
 pub use plus::{plus_decomposition, PlusDecomposition};
 pub use prepared::{
-    classifier_cache_clear, classifier_cache_stats, classify_query_cached, count_ep_batch,
-    CacheStats, PreparedQuery,
+    classifier_cache_clear, classifier_cache_stats, count_ep_batch, CacheStats, PreparedQuery,
 };

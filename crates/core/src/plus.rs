@@ -2,8 +2,11 @@
 //!
 //! Given an ep-query `φ`:
 //!
-//! 1. rewrite into disjunctive form and **normalize** (no sentence
-//!    disjunct maps into any other disjunct);
+//! 1. rewrite into disjunctive form and **normalize** ([`dnf::normalize`]:
+//!    no disjunct entails another — stronger than the paper's condition
+//!    that no sentence disjunct maps into any other disjunct, and
+//!    `φ*_af` is the same either way); at most 24 free disjuncts may
+//!    remain after normalization;
 //! 2. split into the **all-free part** `φ_af` (the free disjuncts) and
 //!    the **sentence disjuncts**;
 //! 3. build `φ*_af` by inclusion–exclusion with cancellation
@@ -88,7 +91,7 @@ pub(crate) fn check_free_disjuncts(disjuncts: &[PpFormula]) -> Result<(), LogicE
 ///
 /// # Panics
 /// Panics when more free disjuncts remain than
-/// [`crate::iex::MAX_EXPANSION_DISJUNCTS`]; [`plus_decomposition`] and
+/// [`dnf::MAX_EXPANSION_DISJUNCTS`]; [`plus_decomposition`] and
 /// [`crate::prepared::PreparedQuery::prepare`] check that first.
 pub fn plus_decomposition_of_normalized(disjuncts: Vec<PpFormula>) -> PlusDecomposition {
     let (all_free, sentences): (Vec<PpFormula>, Vec<PpFormula>) =
@@ -132,19 +135,20 @@ mod tests {
 
     #[test]
     fn too_many_free_disjuncts_is_an_error() {
-        // 42 incomparable disjuncts, and 31 duplicates (normalization
-        // keeps them), both exceed the expansion limit.
+        // 42 incomparable disjuncts exceed the expansion limit.
         let distinct: Vec<String> = (0..42).map(|i| format!("R{i}(x,x)")).collect();
-        let copies = vec!["E(x,y)"; 31].join(" | ");
-        for text in [format!("(x) := {}", distinct.join(" | ")), copies] {
-            let q = parse_query(&text).unwrap();
-            let sig = epq_logic::query::infer_signature([q.formula()]).unwrap();
-            let err = plus_decomposition(&q, &sig).unwrap_err();
-            assert!(err.message.contains("infeasible"), "got: {err}");
-        }
+        let q = parse_query(&format!("(x) := {}", distinct.join(" | "))).unwrap();
+        let sig = epq_logic::query::infer_signature([q.formula()]).unwrap();
+        let err = plus_decomposition(&q, &sig).unwrap_err();
+        assert!(err.message.contains("infeasible"), "got: {err}");
+        // 31 duplicates normalize to one free disjunct.
+        let dec = decompose(&vec!["E(x,y)"; 31].join(" | "));
+        assert_eq!(dec.disjuncts.len(), 1);
+        assert_eq!(dec.all_free.len(), 1);
+        assert_eq!(dec.plus.len(), 1);
         // The limit itself is accepted.
-        assert!(check_expansion_size(crate::iex::MAX_EXPANSION_DISJUNCTS).is_ok());
-        assert!(check_expansion_size(crate::iex::MAX_EXPANSION_DISJUNCTS + 1).is_err());
+        assert!(check_expansion_size(dnf::MAX_EXPANSION_DISJUNCTS).is_ok());
+        assert!(check_expansion_size(dnf::MAX_EXPANSION_DISJUNCTS + 1).is_err());
     }
 
     /// Example 5.21: θ(V) = φ1 ∨ φ2 ∨ φ3 ∨ θ1 with V = {w,x,y,z},

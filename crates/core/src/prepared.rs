@@ -8,7 +8,8 @@
 //! what the data-complexity reading of the trichotomy assumes is
 //! amortized. [`PreparedQuery`] makes that split explicit:
 //!
-//! * [`PreparedQuery::prepare`] runs the per-query phase once and
+//! * [`PreparedQuery::prepare`] runs the per-query phase once (failing
+//!   when more than 24 free disjuncts remain after normalization) and
 //!   memoizes it in a **process-wide cache keyed by the query's
 //!   canonical form**, so repeated preparation of α-equivalent or
 //!   reordered queries is a hash lookup;
@@ -152,29 +153,11 @@ impl PreparedQuery {
     /// normalization than the inclusion–exclusion expansion accepts
     /// (see [`crate::iex::check_expansion_size`]).
     pub fn prepare(query: &Query, signature: &Signature) -> Result<Self, LogicError> {
-        Self::build(query, signature, true)
-    }
-
-    /// [`PreparedQuery::prepare`] bypassing the process-wide cache
-    /// (always recomputes; never inserts). For benchmarks measuring the
-    /// un-amortized pipeline and for tests that need isolation.
-    pub fn prepare_uncached(query: &Query, signature: &Signature) -> Result<Self, LogicError> {
-        Self::build(query, signature, false)
-    }
-
-    fn build(query: &Query, signature: &Signature, use_cache: bool) -> Result<Self, LogicError> {
         // The DNF + normalization pass is shared between the key and
         // the decomposition, so a cache hit pays it exactly once.
         let raw = dnf::disjuncts(query, signature)?;
         let disjuncts = dnf::normalize(raw);
         check_free_disjuncts(&disjuncts)?;
-        if !use_cache {
-            let entry = Arc::new(PreparedEntry {
-                decomposition: plus_decomposition_of_normalized(disjuncts),
-                analysis: OnceLock::new(),
-            });
-            return Ok(Self::from_entry(query, signature, entry, false));
-        }
         // Two probes share one key namespace (equal strings imply
         // equivalent queries regardless of which labeling produced
         // them): first the cheap identity-labeled key — repeated
@@ -351,16 +334,6 @@ impl PreparedQuery {
 /// [`PreparedQuery::count_batch`] for the determinism contract.
 pub fn count_ep_batch(prepared: &PreparedQuery, structures: &[Structure]) -> Vec<Natural> {
     prepared.count_batch(structures, epq_pool::available_threads())
-}
-
-/// [`crate::classify::classify_query`] through the process-wide
-/// prepared-query cache: the expensive `φ⁺`/treewidth work runs at most
-/// once per canonical query per process.
-pub fn classify_query_cached(
-    query: &Query,
-    signature: &Signature,
-) -> Result<QueryAnalysis, LogicError> {
-    Ok(PreparedQuery::prepare(query, signature)?.analysis().clone())
 }
 
 /// The cache key: signature layout, liberal count, and the sorted
@@ -547,19 +520,6 @@ mod tests {
     }
 
     #[test]
-    fn prepare_uncached_never_touches_the_cache() {
-        let _guard = test_lock();
-        let q = parse_query("(x) := R7(x,x)").unwrap();
-        let sig = infer_signature([q.formula()]).unwrap();
-        let before = classifier_cache_stats();
-        let p = PreparedQuery::prepare_uncached(&q, &sig).unwrap();
-        assert!(!p.was_cache_hit());
-        let after = classifier_cache_stats();
-        assert_eq!(before.hits, after.hits);
-        assert_eq!(before.misses, after.misses);
-    }
-
-    #[test]
     fn count_matches_count_ep_on_paper_example() {
         let _guard = test_lock();
         let p = prepare_text("(w,x,y,z) := E(x,y) & (E(w,x) | (E(y,z) & E(z,z)))");
@@ -601,13 +561,10 @@ mod tests {
         let disjuncts: Vec<String> = (0..42).map(|i| format!("R{i}(x,x)")).collect();
         let q = parse_query(&format!("(x) := {}", disjuncts.join(" | "))).unwrap();
         let sig = infer_signature([q.formula()]).unwrap();
-        for prepared in [
-            PreparedQuery::prepare(&q, &sig),
-            PreparedQuery::prepare_uncached(&q, &sig),
-        ] {
-            let err = prepared.err().expect("42 disjuncts must be rejected");
-            assert!(err.message.contains("infeasible"), "got: {err}");
-        }
+        let err = PreparedQuery::prepare(&q, &sig)
+            .err()
+            .expect("42 disjuncts must be rejected");
+        assert!(err.message.contains("infeasible"), "got: {err}");
     }
 
     #[test]

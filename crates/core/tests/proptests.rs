@@ -1,9 +1,11 @@
 //! Property tests for `epq-core`: the oracle reductions round-trip on
-//! random queries/structures, the batched prepared-query API is
-//! bit-identical to sequential counting at every thread count, and
-//! incremental streaming maintenance agrees with from-scratch recounts
-//! after every random insert sequence.
+//! random queries/structures, redundant disjuncts change no count,
+//! width or `φ*_af`, the batched prepared-query API is bit-identical
+//! to sequential counting at every thread count, and incremental
+//! streaming maintenance agrees with from-scratch recounts after every
+//! random insert sequence.
 
+use epq_core::classify::classify_query;
 use epq_core::count::{count_ep, count_ep_with};
 use epq_core::iex::star;
 use epq_core::incremental::LiveCount;
@@ -12,7 +14,7 @@ use epq_core::plus::plus_decomposition;
 use epq_core::prepared::{count_ep_batch, PreparedQuery};
 use epq_counting::brute;
 use epq_counting::engines::{FptEngine, RelalgEngine};
-use epq_logic::dnf;
+use epq_logic::{dnf, Atom, Formula, PpFormula, Query, Var};
 use epq_workloads::{data, queries};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -99,8 +101,97 @@ proptest! {
     }
 }
 
+/// Disjunct `d` as a formula with its quantified variables renamed to
+/// `r0, r1, …` (an α-variant), conjoined with `extra` atoms.
+fn renamed_copy(d: &PpFormula, extra: Vec<Formula>) -> Formula {
+    let s = d.liberal_count() as u32;
+    let name = |e: u32| {
+        if e < s {
+            d.name(e).clone()
+        } else {
+            Var::new(format!("r{}", e - s))
+        }
+    };
+    let mut atoms = extra;
+    for (rel, relation, _) in d.signature().iter() {
+        for t in d.structure().relation(rel).tuples() {
+            atoms.push(Formula::Atom(Atom::new(
+                relation,
+                t.iter().map(|&e| name(e)).collect(),
+            )));
+        }
+    }
+    let bound: Vec<String> = (s..d.structure().universe_size() as u32)
+        .map(|e| name(e).to_string())
+        .collect();
+    let bound: Vec<&str> = bound.iter().map(String::as_str).collect();
+    Formula::exists(&bound, Formula::conjunction(atoms))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Planted redundancy: an α-renamed copy of a disjunct, and a copy
+    /// conjoined with one more atom (over the disjunct's variables and
+    /// a fresh bound one), both entail the disjunct. Normalization
+    /// drops them, so counts, widths and `φ⁺` are those of the original
+    /// query, and no more free disjuncts are kept.
+    #[test]
+    fn planted_redundant_disjuncts_change_nothing(
+        qseed in 0u64..10_000,
+        sseed in 0u64..10_000,
+        pick in 0usize..8,
+        extra_rel in 0usize..2,
+        args in (0usize..8, 0usize..8),
+        first in any::<bool>(),
+    ) {
+        let sig = epq_structures::Signature::from_symbols([("E", 2), ("F", 2)]);
+        let query = queries::random_ucq_over(
+            &mut StdRng::seed_from_u64(qseed), &sig, 2, 3, 2, 0.3);
+        let ds = dnf::disjuncts(&query, &sig).unwrap();
+        let d = &ds[pick % ds.len()];
+        let mut vars: Vec<Var> = d.liberal_names().to_vec();
+        vars.extend((0..d.quantified_names().len()).map(|i| Var::new(format!("r{i}"))));
+        vars.push(Var::new("rx"));
+        let extra = Formula::Atom(Atom::new(
+            ["E", "F"][extra_rel],
+            vec![vars[args.0 % vars.len()].clone(), vars[args.1 % vars.len()].clone()],
+        ));
+        let planted_parts = Formula::exists(&["rx"], renamed_copy(d, vec![extra]))
+            .or(renamed_copy(d, Vec::new()));
+        // The copies go before or after the original disjuncts.
+        let formula = if first {
+            planted_parts.or(query.formula().clone())
+        } else {
+            query.formula().clone().or(planted_parts)
+        };
+        let planted = Query::new(formula, query.liberal().to_vec()).unwrap();
+
+        let structures =
+            data::random_structure_batch(&mut StdRng::seed_from_u64(sseed), 3, &sig, 3, 0.4, 9);
+        let prepared = PreparedQuery::prepare(&planted, &sig).unwrap();
+        for b in &structures {
+            let expected = brute::count_ep_brute(&query, b);
+            prop_assert_eq!(&brute::count_ep_brute(&planted, b), &expected);
+            prop_assert_eq!(&prepared.count(b), &expected);
+        }
+
+        // `classify_query` bypasses the classifier cache, where the two
+        // queries' canonical keys may coincide.
+        let (before, after) = (
+            classify_query(&query, &sig).unwrap(),
+            classify_query(&planted, &sig).unwrap(),
+        );
+        prop_assert_eq!(after.max_core_treewidth, before.max_core_treewidth);
+        prop_assert_eq!(after.max_contract_treewidth, before.max_contract_treewidth);
+        prop_assert_eq!(after.plus_analyses.len(), before.plus_analyses.len());
+        let (before, after) = (
+            plus_decomposition(&query, &sig).unwrap(),
+            plus_decomposition(&planted, &sig).unwrap(),
+        );
+        prop_assert!(after.all_free.len() <= before.all_free.len());
+        prop_assert_eq!(after.star_af.len(), before.star_af.len());
+    }
 
     #[test]
     fn batch_counts_match_sequential_loop_at_every_thread_count(
@@ -169,14 +260,14 @@ proptest! {
         let mut maintainers: Vec<LiveCount> = [1usize, 2, 4]
             .iter()
             .map(|&threads| {
-                let prepared = PreparedQuery::prepare_uncached(&query, &sig)
+                let prepared = PreparedQuery::prepare(&query, &sig)
                     .unwrap()
                     .with_engine(Box::new(RelalgEngine));
                 LiveCount::new(prepared, log.open()).unwrap().with_threads(threads)
             })
             .collect();
         maintainers.push({
-            let prepared = PreparedQuery::prepare_uncached(&query, &sig).unwrap();
+            let prepared = PreparedQuery::prepare(&query, &sig).unwrap();
             LiveCount::new(prepared, log.open()).unwrap()
         });
         prop_assert!(!maintainers.last().unwrap().uses_cached_relalg());

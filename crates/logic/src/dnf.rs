@@ -3,10 +3,14 @@
 //! Every ep-formula is equivalent to a *disjunctive* ep-formula — a
 //! disjunction of prenex pp-formulas sharing the outer liberal set
 //! (Section 2.1). [`disjuncts`] performs that rewriting; [`normalize`]
-//! implements the paper's normalization (no sentence disjunct has a
-//! homomorphism into any other disjunct), and [`minimize_ucq`] is the
-//! classical stronger UCQ minimization (no disjunct entails another),
-//! which the paper's constructions remain correct under.
+//! keeps the entailment-minimal disjuncts (no disjunct entails another),
+//! the classical UCQ minimization. It is stronger than the paper's
+//! normalization (no sentence disjunct has a homomorphism into any other
+//! disjunct) and changes no count or classification: `φ*_af` is unique
+//! up to counting equivalence (Proposition 5.16), so the disjuncts it
+//! drops only shrink the inclusion–exclusion expansion. At most 24 free
+//! disjuncts ([`MAX_EXPANSION_DISJUNCTS`]) may remain after
+//! normalization.
 
 use crate::formula::Formula;
 use crate::pp::PpFormula;
@@ -59,60 +63,69 @@ fn dnf_pieces(f: &Formula) -> Vec<Formula> {
     }
 }
 
-/// The paper's normalization (Section 2.1): repeatedly drop any disjunct
-/// that a *sentence* disjunct maps into (i.e. any disjunct entailing a
-/// sentence disjunct), keeping the earliest among equivalent sentence
-/// disjuncts. The result is logically equivalent to the input disjunction.
-pub fn normalize(disjuncts: Vec<PpFormula>) -> Vec<PpFormula> {
-    let mut kept: Vec<PpFormula> = Vec::new();
-    'candidate: for candidate in disjuncts {
-        // Skip the candidate if an existing sentence disjunct subsumes it.
-        for existing in &kept {
-            if existing.is_sentence() && candidate.entails(existing) {
-                continue 'candidate;
-            }
-        }
-        // If the candidate is a sentence, drop all existing disjuncts it
-        // subsumes.
-        if candidate.is_sentence() {
-            kept.retain(|existing| !existing.entails(&candidate));
-        }
-        kept.push(candidate);
-    }
-    kept
-}
+/// The largest number of free disjuncts the inclusion–exclusion
+/// expansion of `φ*_af` accepts: `2^24 − 1` raw terms is already far
+/// beyond any practical query (the formula is the parameter).
+/// [`normalize`] stops minimizing the free disjuncts once it keeps more
+/// than this many, since such a query is rejected anyway.
+pub const MAX_EXPANSION_DISJUNCTS: usize = 24;
 
-/// Full UCQ minimization: drops every disjunct that entails another
-/// (answers of an entailing disjunct are contained in the entailed one's),
-/// keeping the earliest among logically equivalent disjuncts. Strictly
-/// stronger than [`normalize`]; the disjunction's answer set is unchanged.
-pub fn minimize_ucq(disjuncts: Vec<PpFormula>) -> Vec<PpFormula> {
-    let n = disjuncts.len();
-    let mut drop = vec![false; n];
-    for i in 0..n {
-        if drop[i] {
+/// The one UCQ normal form: the entailment antichain of the disjuncts.
+/// A disjunct that entails another is dropped (its answers are contained
+/// in the other's), and among logically equivalent disjuncts the
+/// earliest stays; survivors keep their input order. The result is
+/// logically equivalent to the input disjunction, and it satisfies the
+/// paper's normalization (Section 2.1: no sentence disjunct maps into
+/// any other disjunct).
+///
+/// Sentence disjuncts are minimized first, then the free ones against
+/// the kept antichain (a sentence never entails a free disjunct). Once
+/// more than [`MAX_EXPANSION_DISJUNCTS`] free disjuncts are kept, the
+/// remaining free disjuncts are only checked against the sentences and
+/// appended: the query is past the expansion limit either way, and this
+/// bounds the pairwise checks on wide DNFs.
+pub fn normalize(disjuncts: Vec<PpFormula>) -> Vec<PpFormula> {
+    let (sentences, free): (Vec<usize>, Vec<usize>) =
+        (0..disjuncts.len()).partition(|&i| disjuncts[i].is_sentence());
+    let mut kept_sentences: Vec<usize> = Vec::new();
+    for i in sentences {
+        keep_if_minimal(&disjuncts, &mut kept_sentences, i);
+    }
+    let mut kept_free: Vec<usize> = Vec::new();
+    for i in free {
+        if kept_sentences
+            .iter()
+            .any(|&k| disjuncts[i].entails(&disjuncts[k]))
+        {
             continue;
         }
-        for j in 0..n {
-            if i == j || drop[j] {
-                continue;
-            }
-            if disjuncts[i].entails(&disjuncts[j]) {
-                // answers(i) ⊆ answers(j): i is redundant — unless they are
-                // equivalent and i comes first (then drop j instead, later).
-                if disjuncts[j].entails(&disjuncts[i]) && i < j {
-                    continue;
-                }
-                drop[i] = true;
-                break;
-            }
+        if kept_free.len() > MAX_EXPANSION_DISJUNCTS {
+            kept_free.push(i);
+        } else {
+            keep_if_minimal(&disjuncts, &mut kept_free, i);
         }
+    }
+    let mut keep = vec![false; disjuncts.len()];
+    for i in kept_sentences.into_iter().chain(kept_free) {
+        keep[i] = true;
     }
     disjuncts
         .into_iter()
-        .zip(drop)
-        .filter_map(|(d, dropped)| (!dropped).then_some(d))
+        .zip(keep)
+        .filter_map(|(d, k)| k.then_some(d))
         .collect()
+}
+
+/// Adds disjunct `i` to the antichain `kept` (indices into `disjuncts`,
+/// all earlier than `i`) unless it entails a kept disjunct, dropping the
+/// kept disjuncts that entail it.
+fn keep_if_minimal(disjuncts: &[PpFormula], kept: &mut Vec<usize>, i: usize) {
+    let candidate = &disjuncts[i];
+    if kept.iter().any(|&k| candidate.entails(&disjuncts[k])) {
+        return;
+    }
+    kept.retain(|&k| !disjuncts[k].entails(candidate));
+    kept.push(i);
 }
 
 #[cfg(test)]
@@ -222,26 +235,66 @@ mod tests {
     }
 
     #[test]
-    fn minimize_ucq_drops_entailing_disjuncts() {
+    fn normalization_drops_entailing_free_disjuncts() {
         // (E(x,y) ∧ E(y,x)) ∨ E(x,y): the first entails the second.
         let strong = Formula::atom("E", &["x", "y"]).and(Formula::atom("E", &["y", "x"]));
         let weak = Formula::atom("E", &["x", "y"]);
         let f = strong.or(weak);
         let (q, sig) = query(&["x", "y"], f);
         let ds = disjuncts(&q, &sig).unwrap();
-        // normalize keeps both (no sentences); minimize drops the strong one.
-        assert_eq!(normalize(ds.clone()).len(), 2);
-        let minimized = minimize_ucq(ds);
-        assert_eq!(minimized.len(), 1);
-        assert_eq!(minimized[0].structure().tuple_count(), 1);
+        let normalized = normalize(ds);
+        assert_eq!(normalized.len(), 1);
+        assert_eq!(normalized[0].structure().tuple_count(), 1);
     }
 
     #[test]
-    fn minimize_ucq_keeps_one_of_equivalent_pair() {
-        // E(x,y) ∨ E(x,y) (syntactic duplicate).
-        let f = Formula::atom("E", &["x", "y"]).or(Formula::atom("E", &["x", "y"]));
+    fn normalization_keeps_the_first_of_equivalent_free_disjuncts() {
+        // E(x,y) ∨ (∃u . E(x,y) ∧ E(x,u)) ∨ E(x,y): all three are
+        // equivalent; the first (one atom) stays.
+        let f = Formula::atom("E", &["x", "y"])
+            .or(Formula::exists(
+                &["u"],
+                Formula::atom("E", &["x", "y"]).and(Formula::atom("E", &["x", "u"])),
+            ))
+            .or(Formula::atom("E", &["x", "y"]));
         let (q, sig) = query(&["x", "y"], f);
         let ds = disjuncts(&q, &sig).unwrap();
-        assert_eq!(minimize_ucq(ds).len(), 1);
+        assert_eq!(ds.len(), 3);
+        let normalized = normalize(ds);
+        assert_eq!(normalized.len(), 1);
+        assert_eq!(normalized[0].structure().tuple_count(), 1);
+    }
+
+    #[test]
+    fn normalization_keeps_input_order() {
+        // F(x) ∨ (E(x) ∧ F(x)) ∨ ∃a G(a) ∨ E(x): the second disjunct
+        // entails the first and goes; the rest keep their order.
+        let f = Formula::atom("F", &["x"])
+            .or(Formula::atom("E", &["x"]).and(Formula::atom("F", &["x"])))
+            .or(Formula::exists(&["a"], Formula::atom("G", &["a"])))
+            .or(Formula::atom("E", &["x"]));
+        let (q, sig) = query(&["x"], f);
+        let normalized = normalize(disjuncts(&q, &sig).unwrap());
+        let shown: Vec<String> = normalized.iter().map(|d| d.to_string()).collect();
+        assert_eq!(normalized.len(), 3, "{shown:?}");
+        assert!(normalized[0].is_free() && normalized[2].is_free());
+        assert!(normalized[1].is_sentence());
+    }
+
+    #[test]
+    fn free_disjuncts_past_the_limit_are_appended_unminimized() {
+        // MAX + 1 incomparable disjuncts, then one more copy of the
+        // first: it is past the limit, so only the sentence check runs.
+        let names: Vec<String> = (0..=MAX_EXPANSION_DISJUNCTS)
+            .map(|i| format!("R{i}"))
+            .collect();
+        let mut f = Formula::atom(&names[0], &["x"]);
+        for name in &names[1..] {
+            f = f.or(Formula::atom(name, &["x"]));
+        }
+        f = f.or(Formula::atom(&names[0], &["x"]));
+        let (q, sig) = query(&["x"], f);
+        let normalized = normalize(disjuncts(&q, &sig).unwrap());
+        assert_eq!(normalized.len(), MAX_EXPANSION_DISJUNCTS + 2);
     }
 }

@@ -163,7 +163,12 @@ proptest! {
             _ => return Ok(()),
         };
         let normalized = dnf::normalize(ds.clone());
-        let minimized = dnf::minimize_ucq(ds.clone());
+        // The normal form is an antichain under entailment.
+        for (i, d) in normalized.iter().enumerate() {
+            for (j, e) in normalized.iter().enumerate() {
+                prop_assert!(i == j || !d.entails(e), "kept disjunct {} entails {}", i, j);
+            }
+        }
         let count = |set: &[PpFormula]| -> usize {
             match set.first() {
                 None => 0,
@@ -175,7 +180,6 @@ proptest! {
         };
         let original = count(&ds);
         prop_assert_eq!(count(&normalized), original, "normalize changed the count");
-        prop_assert_eq!(count(&minimized), original, "minimize changed the count");
     }
 
     #[test]

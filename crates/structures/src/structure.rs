@@ -1,7 +1,7 @@
 //! Signatures and finite relational structures.
 
 use epq_graph::Graph;
-use std::collections::HashSet;
+use std::cmp::Ordering;
 use std::fmt;
 
 /// Identifier of a relation symbol within a [`Signature`] (its index).
@@ -97,7 +97,7 @@ impl Signature {
 }
 
 /// One relation instance: an `arity`-strided, sorted, deduplicated tuple
-/// store.
+/// store. Membership and insertion binary-search its rows in place.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Relation {
     arity: usize,
@@ -133,26 +133,34 @@ impl Relation {
         self.data.chunks_exact(self.arity)
     }
 
-    /// Binary search for a tuple.
+    /// Whether `tuple` is in the relation.
     pub fn contains(&self, tuple: &[u32]) -> bool {
-        assert_eq!(tuple.len(), self.arity, "tuple arity mismatch");
-        self.data
-            .chunks_exact(self.arity)
-            .collect::<Vec<_>>()
-            .binary_search(&tuple)
-            .is_ok()
+        self.search(tuple).is_ok()
     }
 
+    /// Inserts `tuple` in sorted position (a no-op if present).
     fn insert(&mut self, tuple: &[u32]) {
+        if let Err(row) = self.search(tuple) {
+            let at = row * self.arity;
+            self.data.splice(at..at, tuple.iter().copied());
+        }
+    }
+
+    /// Binary search over the rows: `Ok(row)` where `tuple` sits, or
+    /// `Err(row)` where it would be inserted.
+    fn search(&self, tuple: &[u32]) -> Result<usize, usize> {
         assert_eq!(tuple.len(), self.arity, "tuple arity mismatch");
-        let mut tuples: Vec<&[u32]> = self.data.chunks_exact(self.arity).collect();
-        match tuples.binary_search(&tuple) {
-            Ok(_) => {}
-            Err(pos) => {
-                tuples.insert(pos, tuple);
-                self.data = tuples.concat();
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let start = mid * self.arity;
+            match self.data[start..start + self.arity].cmp(tuple) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return Ok(mid),
             }
         }
+        Err(lo)
     }
 }
 
@@ -278,30 +286,6 @@ impl Structure {
             }
         }
         (sub, elements.to_vec())
-    }
-
-    /// Builds per-relation hash indexes for fast membership checks during
-    /// homomorphism search.
-    pub fn index(&self) -> StructureIndex {
-        StructureIndex {
-            sets: self
-                .relations
-                .iter()
-                .map(|r| r.tuples().map(|t| t.to_vec()).collect())
-                .collect(),
-        }
-    }
-}
-
-/// Hash-based tuple membership index for a [`Structure`].
-pub struct StructureIndex {
-    sets: Vec<HashSet<Vec<u32>>>,
-}
-
-impl StructureIndex {
-    /// Whether `tuple` is in relation `rel`.
-    pub fn has_tuple(&self, rel: RelId, tuple: &[u32]) -> bool {
-        self.sets[rel.0 as usize].contains(tuple)
     }
 }
 
@@ -433,11 +417,25 @@ mod tests {
     }
 
     #[test]
-    fn index_membership() {
+    fn has_tuple_membership() {
         let mut s = Structure::new(digraph_sig(), 3);
-        s.add_tuple(RelId(0), &[0, 1]);
-        let idx = s.index();
-        assert!(idx.has_tuple(RelId(0), &[0, 1]));
-        assert!(!idx.has_tuple(RelId(0), &[1, 0]));
+        let e = RelId(0);
+        assert!(!s.has_tuple(e, &[0, 1]));
+        for t in [[1, 2], [0, 1], [2, 0], [1, 0]] {
+            s.add_tuple(e, &t);
+        }
+        for t in [[0, 1], [1, 0], [1, 2], [2, 0]] {
+            assert!(s.has_tuple(e, &t), "{t:?}");
+        }
+        for t in [[0, 0], [0, 2], [2, 1], [2, 2]] {
+            assert!(!s.has_tuple(e, &t), "{t:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "tuple arity mismatch")]
+    fn has_tuple_checks_arity() {
+        let s = Structure::new(digraph_sig(), 2);
+        s.has_tuple(RelId(0), &[0]);
     }
 }

@@ -1,10 +1,12 @@
-//! Property tests for the structures substrate: homomorphism counting
-//! laws under products and unions, core idempotence, parse/display
-//! round-trips, and augmentation pinning.
+//! Property tests for the structures substrate: the tuple store against
+//! a set model, homomorphism counting laws under products and unions,
+//! core idempotence, parse/display round-trips, and augmentation
+//! pinning.
 
 use epq_bigint::Natural;
-use epq_structures::{core, hom, iso, ops, parse, Signature, Structure};
+use epq_structures::{core, hom, iso, ops, parse, LiveStructure, RelId, Signature, Structure};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// Strategy: a random digraph structure on up to 4 elements (an edge
 /// mask over ordered pairs, loops included).
@@ -139,5 +141,48 @@ proptest! {
         let single = hom::count_homomorphisms(&a, &b);
         let lhs = hom::count_homomorphisms(&a, &squared);
         prop_assert_eq!(lhs, &single * &single);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random inserts, with repeats and in random order, into a live
+    /// structure and into a `BTreeSet` model: the relation lists the
+    /// model's tuples in order, membership agrees on every tuple of the
+    /// universe, and each insert reports whether its tuple was new.
+    #[test]
+    fn tuple_store_matches_a_set_model(
+        n in 1u32..=4,
+        arity in 1usize..=3,
+        draws in collection::vec(any::<u32>(), 0..48),
+    ) {
+        let rel = RelId(0);
+        let mut live = LiveStructure::new(Signature::from_symbols([("R", arity)]), n as usize);
+        let mut model: BTreeSet<Vec<u32>> = BTreeSet::new();
+        for draw in draws {
+            let tuple: Vec<u32> = (0..arity as u32).map(|i| (draw >> (8 * i)) % n).collect();
+            let new = model.insert(tuple.clone());
+            prop_assert_eq!(live.insert_tuple(rel, &tuple), new, "insert {:?}", tuple);
+        }
+        let stored: Vec<Vec<u32>> = live
+            .snapshot()
+            .relation(rel)
+            .tuples()
+            .map(|t| t.to_vec())
+            .collect();
+        prop_assert_eq!(&stored, &model.iter().cloned().collect::<Vec<_>>());
+        prop_assert_eq!(live.snapshot().relation(rel).len(), model.len());
+        let mut probe = vec![0u32; arity];
+        for code in 0..n.pow(arity as u32) {
+            for (i, slot) in probe.iter_mut().enumerate() {
+                *slot = code / n.pow(i as u32) % n;
+            }
+            prop_assert_eq!(
+                live.snapshot().has_tuple(rel, &probe),
+                model.contains(&probe),
+                "probe {:?}", probe
+            );
+        }
     }
 }

@@ -37,6 +37,9 @@ USAGE:
   epq help
 
 QUERY SYNTAX:    (x, y) := E(x,y) | (exists u . E(x,u) & E(u,y))
+LIMIT:           at most 24 free disjuncts after normalization (a disjunct
+                 that entails another is dropped); star expands the
+                 disjuncts as written, so at most 24 of them
 STRUCTURE SYNTAX: structure { universe 4  E = { (0,1), (1,2) } }
 ENGINES:         fpt (default) | brute-force | relalg | hom-dp
                  fpt-par, brute-par, relalg-par: the same engine, sharding

@@ -53,7 +53,7 @@ pub mod prelude {
     pub use epq_core::iex::star;
     pub use epq_core::incremental::{LiveCount, LiveCountStats};
     pub use epq_core::plus::plus_decomposition;
-    pub use epq_core::prepared::{classify_query_cached, count_ep_batch, PreparedQuery};
+    pub use epq_core::prepared::{count_ep_batch, PreparedQuery};
     pub use epq_counting::engines::{
         BruteForceEngine, FptEngine, HomDpEngine, PpCountingEngine, RelalgEngine,
     };

@@ -5,20 +5,21 @@
 
 use std::process::Command;
 
-/// Runs `epq` with `args`, returning (exit code, stderr).
-fn run_epq(args: &[&str]) -> (Option<i32>, String) {
+/// Runs `epq` with `args`, returning (exit code, stdout, stderr).
+fn run_epq(args: &[&str]) -> (Option<i32>, String, String) {
     let output = Command::new(env!("CARGO_BIN_EXE_epq"))
         .args(args)
         .output()
         .expect("spawn the epq binary");
     (
         output.status.code(),
+        String::from_utf8_lossy(&output.stdout).into_owned(),
         String::from_utf8_lossy(&output.stderr).into_owned(),
     )
 }
 
 fn assert_clean_failure(args: &[&str], needle: &str) {
-    let (code, stderr) = run_epq(args);
+    let (code, _, stderr) = run_epq(args);
     assert_eq!(code, Some(1), "{:?}: stderr {stderr}", args[0]);
     assert!(
         stderr.starts_with("epq: "),
@@ -38,20 +39,42 @@ fn forty_two_disjuncts_exit_1() {
     }
 }
 
+/// 31 copies of one disjunct normalize to one, so only `star`, which
+/// expands the disjuncts as written, still exits 1.
 #[test]
 fn duplicate_disjuncts_exit_1() {
     let query = vec!["E(x,y)"; 31].join(" | ");
+    for sub in ["plus", "classify"] {
+        let (code, _, stderr) = run_epq(&[sub, "--query", &query]);
+        assert_eq!(code, Some(0), "{sub}: stderr {stderr}");
+    }
+    let (code, stdout, stderr) = run_epq(&[
+        "count",
+        "--query",
+        &query,
+        "--data-inline",
+        "structure { universe 2 E = { (0,1) } }",
+    ]);
+    assert_eq!((code, stdout.as_str()), (Some(0), "1\n"), "stderr {stderr}");
+    assert_clean_failure(&["star", "--query", &query], "infeasible");
+}
+
+/// `(A0(x) | B0(x)) & … & (A11(x) | B11(x))` has 4096 pairwise
+/// incomparable disjuncts: every route rejects it, without first
+/// comparing all of them pairwise.
+#[test]
+fn wide_dnf_exit_1() {
+    let factors: Vec<String> = (0..12).map(|i| format!("(A{i}(x) | B{i}(x))")).collect();
+    let query = format!("(x) := {}", factors.join(" & "));
     for sub in ["plus", "classify", "star"] {
         assert_clean_failure(&[sub, "--query", &query], "infeasible");
     }
+    let relations: Vec<String> = (0..12)
+        .map(|i| format!("A{i}/1 = {{ (0) }} B{i}/1 = {{ }}"))
+        .collect();
+    let structure = format!("structure {{ universe 1 {} }}", relations.join(" "));
     assert_clean_failure(
-        &[
-            "count",
-            "--query",
-            &query,
-            "--data-inline",
-            "structure { universe 2 E = { (0,1) } }",
-        ],
+        &["count", "--query", &query, "--data-inline", &structure],
         "infeasible",
     );
 }

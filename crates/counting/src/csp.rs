@@ -22,48 +22,64 @@
 //! an aligned `Natural` column (see [`crate::table`]) — instead of
 //! `BTreeMap<Vec<u32>, Natural>`: no per-entry node allocation, no
 //! per-key `Vec`, and each pass is a linear scan over contiguous
-//! memory.
+//! memory. The `allowed` set of a [`CspConstraint`] is an
+//! [`epq_structures::Relation`], the workspace's one tuple store:
+//! tuples of arity ≤ 4 packed into sorted `u64`/`u128` words, so the
+//! introduce filter's membership probe is a binary search over machine
+//! words. [`hom_constraints`] gives an atom without repeated elements
+//! a clone of **B**'s relation (one `memcpy`, no per-tuple allocation,
+//! no sort).
 //!
 //! # Determinism
 //!
 //! The flat tables keep their entries sorted by bag assignment, so
 //! every traversal order in this module is a sorted order — nothing
 //! iterates a `HashMap`/`HashSet` whose order could differ between runs.
-//! (The `allowed` sets of [`CspConstraint`] are packed, sorted
-//! [`TupleSet`]s used purely for membership tests.) This matters
+//! (The `allowed` relations are sorted too, and only probed for
+//! membership.) This matters
 //! for the sharded runs of [`TdCounter::count`]: their shard
 //! boundaries are contiguous chunks of the sorted tables, so they are
 //! identical run to run and the parallel counts are reproducible across
 //! runs and thread counts.
 
 use crate::table::FlatTable;
-use crate::tupleset::TupleSet;
 use epq_bigint::Natural;
 use epq_graph::{treewidth, Graph, NiceNode, NiceTreeDecomposition};
-use epq_structures::Structure;
+use epq_structures::{Relation, Structure};
 
 /// One constraint: an ordered scope of distinct variables and the set of
 /// allowed value tuples.
 #[derive(Clone, Debug)]
 pub struct CspConstraint {
-    /// Distinct variable indices.
+    /// Distinct variable indices (at least one).
     pub scope: Vec<u32>,
-    /// Allowed assignments to the scope (in scope order), packed for
-    /// the introduce filter's membership probes (see [`TupleSet`]).
-    pub allowed: TupleSet,
+    /// Allowed assignments to the scope (in scope order): the packed,
+    /// sorted tuple store the introduce filter probes.
+    pub allowed: Relation,
 }
 
 impl CspConstraint {
     /// Builds a constraint from any tuple collection (duplicates
-    /// collapse in the packed set); asserts distinct scope.
+    /// collapse in the relation).
     ///
     /// # Panics
-    /// Panics on a repeated scope variable or a tuple whose width
-    /// differs from the scope's.
+    /// Panics on an empty scope, a repeated scope variable, or a tuple
+    /// whose width differs from the scope's.
     pub fn new<I>(scope: Vec<u32>, allowed: I) -> Self
     where
         I: IntoIterator<Item = Vec<u32>>,
     {
+        assert!(!scope.is_empty(), "constraint scope must be non-empty");
+        let allowed = Relation::from_tuples(scope.len(), allowed);
+        CspConstraint::from_relation(scope, allowed)
+    }
+
+    /// Builds a constraint whose allowed set is `allowed` as it is.
+    ///
+    /// # Panics
+    /// Panics on a repeated scope variable or an arity that differs from
+    /// the scope's length.
+    pub fn from_relation(scope: Vec<u32>, allowed: Relation) -> Self {
         let mut sorted = scope.clone();
         sorted.sort_unstable();
         sorted.dedup();
@@ -72,7 +88,7 @@ impl CspConstraint {
             scope.len(),
             "constraint scope must be distinct"
         );
-        let allowed = TupleSet::from_tuples(scope.len(), allowed);
+        assert_eq!(allowed.arity(), scope.len(), "constraint arity mismatch");
         CspConstraint { scope, allowed }
     }
 }
@@ -262,8 +278,9 @@ pub fn count_csp_brute(
 
 /// Builds the atom constraints of a structure-to-structure homomorphism
 /// problem: one constraint per tuple of `a`, whose allowed set is the
-/// matching projection of the corresponding relation of `b` (repeated
-/// elements in `a`'s tuple filter `b`'s tuples).
+/// matching projection of the corresponding relation of `b`. An atom
+/// without repeated elements takes `b`'s relation as it is; repeated
+/// elements filter `b`'s tuples, projected onto first occurrences.
 pub fn hom_constraints(a: &Structure, b: &Structure) -> Vec<CspConstraint> {
     assert_eq!(
         a.signature(),
@@ -273,28 +290,36 @@ pub fn hom_constraints(a: &Structure, b: &Structure) -> Vec<CspConstraint> {
     let mut out = Vec::new();
     for (rel, _, _) in a.signature().iter() {
         for atom in a.relation(rel).tuples() {
-            // Distinct scope in order of first occurrence.
+            // Distinct scope in order of first occurrence, and each
+            // position's first occurrence.
             let mut scope: Vec<u32> = Vec::new();
-            for &e in atom {
-                if !scope.contains(&e) {
+            let mut firsts: Vec<usize> = Vec::with_capacity(atom.len());
+            for (i, &e) in atom.iter().enumerate() {
+                let first = atom.iter().position(|&x| x == e).unwrap();
+                if first == i {
                     scope.push(e);
                 }
+                firsts.push(first);
             }
-            let positions: Vec<usize> = scope
-                .iter()
-                .map(|v| atom.iter().position(|e| e == v).unwrap())
-                .collect();
-            let mut allowed: Vec<Vec<u32>> = Vec::new();
-            'tuples: for t in b.relation(rel).tuples() {
-                for (i, &e) in atom.iter().enumerate() {
-                    let first = atom.iter().position(|x| *x == e).unwrap();
-                    if t[i] != t[first] {
-                        continue 'tuples;
+            let relation = b.relation(rel);
+            let allowed = if scope.len() == atom.len() {
+                relation.clone()
+            } else {
+                let mut kept: Vec<u32> = Vec::new();
+                for t in relation.tuples() {
+                    if firsts.iter().enumerate().all(|(i, &f)| t[i] == t[f]) {
+                        kept.extend(
+                            firsts
+                                .iter()
+                                .enumerate()
+                                .filter(|&(i, &f)| i == f)
+                                .map(|(i, _)| t[i]),
+                        );
                     }
                 }
-                allowed.push(positions.iter().map(|&i| t[i]).collect());
-            }
-            out.push(CspConstraint::new(scope, allowed));
+                Relation::from_tuples(scope.len(), kept.chunks_exact(scope.len()))
+            };
+            out.push(CspConstraint::from_relation(scope, allowed));
         }
     }
     out
@@ -314,7 +339,7 @@ mod tests {
     use super::*;
     use epq_structures::hom::count_homomorphisms;
     use epq_structures::Signature;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     fn digraph(n: usize, edges: &[(u32, u32)]) -> Structure {
         let sig = Signature::from_symbols([("E", 2)]);
@@ -360,8 +385,7 @@ mod tests {
     #[test]
     fn chain_csp_matches_brute_force() {
         // A 5-variable chain of "successor mod 4" constraints.
-        let succ: Vec<Vec<u32>> = (0..4u32).map(|x| vec![x, (x + 1) % 4]).collect();
-        let allowed: HashSet<Vec<u32>> = succ.into_iter().collect();
+        let allowed: Vec<Vec<u32>> = (0..4u32).map(|x| vec![x, (x + 1) % 4]).collect();
         let constraints: Vec<CspConstraint> = (0..4)
             .map(|i| CspConstraint::new(vec![i, i + 1], allowed.clone()))
             .collect();
@@ -381,7 +405,7 @@ mod tests {
     fn cyclic_csp_needs_join_nodes() {
         // Triangle of difference constraints with domain 3: proper
         // 3-colorings of K3 = 6.
-        let diff: HashSet<Vec<u32>> = (0..3u32)
+        let diff: Vec<Vec<u32>> = (0..3u32)
             .flat_map(|a| (0..3u32).filter(move |&b| a != b).map(move |b| vec![a, b]))
             .collect();
         let constraints = vec![
@@ -416,6 +440,72 @@ mod tests {
     }
 
     #[test]
+    fn repeated_element_atoms_filter_and_project() {
+        // Atoms E(x,x), the repeat-free E(x,y), T(x,y,x) and
+        // W(y,x,y,z,x) against a B holding a spread of tuples of each
+        // relation. Each constraint's scope lists the atom's elements in
+        // order of first occurrence, and its allowed set equals a
+        // BTreeSet model: the images, in scope order, of the element
+        // maps that send the atom onto a tuple of B.
+        let sig = Signature::from_symbols([("E", 2), ("T", 3), ("W", 5)]);
+        let atoms: [(&str, &[u32], &[u32]); 4] = [
+            ("E", &[0, 0], &[0]),
+            ("E", &[0, 1], &[0, 1]),
+            ("T", &[0, 1, 0], &[0, 1]),
+            ("W", &[1, 0, 1, 2, 0], &[1, 0, 2]),
+        ];
+        let mut a = Structure::new(sig.clone(), 3);
+        for (name, atom, _) in atoms {
+            a.add_tuple_named(name, atom);
+        }
+        let mut b = Structure::new(sig, 3);
+        for i in 0..243u32 {
+            let digits: Vec<u32> = (0..5).map(|d| i / 3u32.pow(d) % 3).collect();
+            if i % 2 == 0 {
+                b.add_tuple_named("E", &digits[..2]);
+            }
+            if i % 3 != 1 {
+                b.add_tuple_named("T", &digits[..3]);
+            }
+            if i % 4 != 3 {
+                b.add_tuple_named("W", &digits);
+            }
+        }
+        // hom_constraints walks a's relations in signature order, and
+        // each relation's atoms in sorted order — the order of `atoms`.
+        let constraints = hom_constraints(&a, &b);
+        assert_eq!(constraints.len(), atoms.len());
+        for ((name, atom, scope), c) in atoms.iter().zip(&constraints) {
+            let rel = b.signature().lookup(name).unwrap();
+            let mut model: BTreeSet<Vec<u32>> = BTreeSet::new();
+            for t in b.relation(rel).tuples() {
+                let mut h = std::collections::BTreeMap::new();
+                if atom
+                    .iter()
+                    .zip(t.iter())
+                    .all(|(e, v)| h.entry(e).or_insert(v) == &v)
+                {
+                    model.insert(scope.iter().map(|e| *h[e]).collect());
+                }
+            }
+            assert!(!model.is_empty(), "{name}{atom:?}");
+            assert_eq!(&c.scope[..], *scope, "{name}{atom:?}");
+            let allowed: Vec<Vec<u32>> = c.allowed.tuples().map(|t| t.to_vec()).collect();
+            assert_eq!(
+                allowed,
+                model.into_iter().collect::<Vec<_>>(),
+                "{name}{atom:?}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "constraint scope must be non-empty")]
+    fn empty_scope_panics() {
+        CspConstraint::new(Vec::new(), vec![Vec::new()]);
+    }
+
+    #[test]
     fn hom_dp_with_isolated_vertices() {
         // Edge + 2 isolated vertices into a 2-cycle: 2 · 2² = 8.
         let a = digraph(4, &[(0, 1)]);
@@ -447,12 +537,11 @@ mod tests {
     fn parallel_count_matches_sequential() {
         // Chain CSP, triangle CSP, and an unconstrained space, at
         // several thread counts and with user pins in play.
-        let succ: Vec<Vec<u32>> = (0..4u32).map(|x| vec![x, (x + 1) % 4]).collect();
-        let allowed: HashSet<Vec<u32>> = succ.into_iter().collect();
+        let allowed: Vec<Vec<u32>> = (0..4u32).map(|x| vec![x, (x + 1) % 4]).collect();
         let chain: Vec<CspConstraint> = (0..4)
             .map(|i| CspConstraint::new(vec![i, i + 1], allowed.clone()))
             .collect();
-        let diff: HashSet<Vec<u32>> = (0..3u32)
+        let diff: Vec<Vec<u32>> = (0..3u32)
             .flat_map(|a| (0..3u32).filter(move |&b| a != b).map(move |b| vec![a, b]))
             .collect();
         let triangle = vec![
@@ -508,7 +597,7 @@ mod tests {
 
     #[test]
     fn width_is_reported() {
-        let diff: HashSet<Vec<u32>> = HashSet::new();
+        let diff: Vec<Vec<u32>> = Vec::new();
         let constraints = vec![
             CspConstraint::new(vec![0, 1], diff.clone()),
             CspConstraint::new(vec![1, 2], diff),

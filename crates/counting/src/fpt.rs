@@ -28,7 +28,7 @@ use crate::csp::{hom_constraints, CspConstraint, TdCounter};
 use epq_bigint::Natural;
 use epq_logic::contract::existential_components;
 use epq_logic::PpFormula;
-use epq_structures::Structure;
+use epq_structures::{Relation, Structure};
 use std::collections::HashSet;
 
 /// Counts `|φ(B)|` with the FPT algorithm. Exact for *every* pp-formula;
@@ -90,7 +90,8 @@ pub fn count_pp_fpt(pp: &PpFormula, b: &Structure, threads: usize) -> Natural {
         // Enumerate boundary assignments; keep the extendable ones.
         let arity = comp.boundary.len();
         let total = assignment_space(universe_size(b), arity);
-        let allowed: HashSet<Vec<u32>> = match total {
+        // The extendable tuples, row-major in one buffer.
+        let found: Vec<u32> = match total {
             Some(total) if threads > 1 && total > 1 => {
                 // Shard the boundary sweep: each worker probes one
                 // contiguous index range and returns its extendable
@@ -112,7 +113,7 @@ pub fn count_pp_fpt(pp: &PpFormula, b: &Structure, threads: usize) -> Natural {
                                         .map(|i| (i, values[i as usize]))
                                         .collect();
                                     if checker.satisfiable(&pins) {
-                                        found.push(values.to_vec());
+                                        found.extend_from_slice(values);
                                     }
                                 },
                             );
@@ -120,24 +121,22 @@ pub fn count_pp_fpt(pp: &PpFormula, b: &Structure, threads: usize) -> Natural {
                         }
                     })
                     .collect();
-                epq_pool::run_jobs(threads, jobs)
-                    .into_iter()
-                    .flatten()
-                    .collect()
+                epq_pool::run_jobs(threads, jobs).concat()
             }
             _ => {
-                let mut allowed = HashSet::new();
+                let mut found = Vec::new();
                 for_each_assignment(universe_size(b), arity, &mut |values| {
                     let pins: Vec<(u32, u32)> =
                         (0..arity as u32).map(|i| (i, values[i as usize])).collect();
                     if checker.satisfiable(&pins) {
-                        allowed.insert(values.to_vec());
+                        found.extend_from_slice(values);
                     }
                 });
-                allowed
+                found
             }
         };
-        constraints.push(CspConstraint::new(comp.boundary.clone(), allowed));
+        let allowed = Relation::from_tuples(arity, found.chunks_exact(arity));
+        constraints.push(CspConstraint::from_relation(comp.boundary.clone(), allowed));
     }
 
     // Liberal atoms (entirely within S) become direct constraints.
@@ -146,7 +145,7 @@ pub fn count_pp_fpt(pp: &PpFormula, b: &Structure, threads: usize) -> Natural {
         for (rel, _, _) in structure.signature().iter() {
             for t in structure.relation(rel).tuples() {
                 if t.iter().all(|&e| (e as usize) < s) {
-                    liberal_structure.add_tuple(rel, t);
+                    liberal_structure.add_tuple(rel, &t);
                 }
             }
         }

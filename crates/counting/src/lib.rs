@@ -29,9 +29,6 @@
 //!   the `epq-pool` workers with bit-identical results;
 //! * [`table`] — the packed-key flat DP tables (row-major key arena +
 //!   `Natural` column) the tree-decomposition DP runs on;
-//! * [`tupleset`] — packed, sorted tuple sets backing every
-//!   constraint's `allowed` relation (the introduce filter's membership
-//!   probes run on machine words, not hashed `Vec` keys);
 //! * [`clique`] — the clique ⇄ query encodings anchoring the hardness side
 //!   (cases (2) and (3) of the trichotomy);
 //! * [`decision`] — answer existence / model checking (the 1-or-0
@@ -44,9 +41,7 @@ pub mod decision;
 pub mod engines;
 pub mod fpt;
 pub mod table;
-pub mod tupleset;
 
 pub use csp::{CspConstraint, TdCounter};
 pub use engines::{BruteForceEngine, FptEngine, HomDpEngine, PpCountingEngine, RelalgEngine};
 pub use table::FlatTable;
-pub use tupleset::TupleSet;

@@ -161,7 +161,7 @@ impl PpFormula {
         let mut occurs = vec![false; self.structure.universe_size()];
         for (rel, _, _) in self.signature().iter() {
             for t in self.structure.relation(rel).tuples() {
-                for &e in t {
+                for &e in t.iter() {
                     occurs[e as usize] = true;
                 }
             }
@@ -225,7 +225,7 @@ impl PpFormula {
             }
             let target = self.signature().lookup(name).expect("same base signature");
             for t in permuted_aug.relation(rel).tuples() {
-                structure.add_tuple(target, t);
+                structure.add_tuple(target, &t);
             }
         }
         let names: Vec<Var> = perm_map
@@ -270,7 +270,7 @@ impl PpFormula {
         for (rel, _, _) in self.signature().iter() {
             for t in self.structure.relation(rel).tuples() {
                 if t.iter().all(|&e| keep[e as usize]) {
-                    structure.add_tuple(rel, t);
+                    structure.add_tuple(rel, &t);
                 }
             }
         }

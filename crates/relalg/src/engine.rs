@@ -30,9 +30,12 @@ fn scan_atom(b: &Structure, rel: RelId, atom: &[u32]) -> Relation {
         .map(|c| atom.iter().position(|e| e == c).unwrap())
         .collect();
     // Matching tuples stream straight into the relation's flat arena —
-    // no per-row Vec.
+    // no per-row Vec, and no re-sort: two kept rows first differ at a
+    // first occurrence (they agree on everything before it, so a repeat
+    // position there agrees too), so projecting B's sorted rows onto the
+    // first occurrences keeps them strictly increasing.
     let mut data: Vec<u32> = Vec::new();
-    let mut matched = false;
+    let mut len = 0;
     'tuple: for t in b.relation(rel).tuples() {
         // Check the repeated-element pattern.
         for (i, &e) in atom.iter().enumerate() {
@@ -42,17 +45,17 @@ fn scan_atom(b: &Structure, rel: RelId, atom: &[u32]) -> Relation {
             }
         }
         data.extend(positions.iter().map(|&i| t[i]));
-        matched = true;
+        len += 1;
     }
     if schema.is_empty() {
         // A nullary atom is a presence test.
-        return if matched {
+        return if len > 0 {
             Relation::unit()
         } else {
             Relation::empty()
         };
     }
-    Relation::from_flat(schema, data)
+    Relation::from_sorted_flat(schema, len, data)
 }
 
 /// A cache of atom-scan intermediates over **one** structure, the
@@ -165,7 +168,7 @@ fn join_all_via(
     let mut scans: Vec<(String, Relation)> = Vec::new();
     for (rel, name, _) in pp.signature().iter() {
         for t in pp.structure().relation(rel).tuples() {
-            let r = scan(b, rel, t);
+            let r = scan(b, rel, &t);
             plan.steps
                 .push(format!("scan {name}{t:?} -> {} rows", r.len()));
             scans.push((format!("{name}{t:?}"), r));

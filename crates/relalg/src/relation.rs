@@ -94,7 +94,7 @@ impl Relation {
     /// sorted and deduplicated — operations that preserve the canonical
     /// order (selection, sorted extension, merges) use this to skip the
     /// re-sort. Checked in debug builds.
-    fn from_sorted_flat(schema: Vec<u32>, len: usize, data: Vec<u32>) -> Self {
+    pub(crate) fn from_sorted_flat(schema: Vec<u32>, len: usize, data: Vec<u32>) -> Self {
         debug_assert_eq!(data.len(), len * schema.len());
         debug_assert!(
             schema.is_empty()

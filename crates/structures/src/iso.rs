@@ -61,7 +61,7 @@ fn occurrence_profile(s: &Structure) -> Vec<usize> {
     let mut counts = vec![0usize; s.universe_size()];
     for (rel, _, _) in s.signature().iter() {
         for t in s.relation(rel).tuples() {
-            for &e in t {
+            for &e in t.iter() {
                 counts[e as usize] += 1;
             }
         }

@@ -11,9 +11,10 @@
 //! manipulate structures with direct products, powers, disjoint unions, and
 //! one-point paddings. This crate provides:
 //!
-//! * [`Signature`] / [`Structure`] — finite τ-structures, relations stored
-//!   as (sorted, deduplicated) lists of tuples, exactly the representation
-//!   the paper assumes ("relations … represented as lists of tuples");
+//! * [`Signature`] / [`Structure`] / [`Relation`] — finite τ-structures,
+//!   relations stored as sorted, deduplicated lists of tuples, the
+//!   representation the paper assumes ("relations … represented as lists
+//!   of tuples"), with tuples of arity ≤ 4 packed into machine words;
 //! * [`hom`] — homomorphism existence / search / counting / enumeration with
 //!   pinned partial assignments (backtracking with forward pruning);
 //! * [`ops`] — direct products **A** × **B**, powers, disjoint unions,
@@ -36,4 +37,4 @@ pub mod parse;
 pub mod structure;
 
 pub use live::{LiveStructure, StreamLog, StreamOp};
-pub use structure::{RelId, Signature, Structure};
+pub use structure::{RelId, Relation, Signature, Structure, Tuple};

@@ -99,11 +99,7 @@ impl LiveStructure {
     /// Panics if elements are out of range or the arity mismatches
     /// (same contract as [`Structure::add_tuple`]).
     pub fn insert_tuple(&mut self, rel: RelId, tuple: &[u32]) -> bool {
-        // One membership probe, inside add_tuple (which is idempotent):
-        // whether it inserted shows in the relation's length.
-        let before = self.inner.relation(rel).len();
-        self.inner.add_tuple(rel, tuple);
-        if self.inner.relation(rel).len() == before {
+        if !self.inner.add_tuple(rel, tuple) {
             return false;
         }
         self.dirty[rel.0 as usize] = true;
@@ -230,11 +226,14 @@ impl StreamLog {
                     if universe.is_some() {
                         return Err(err(line_no, "duplicate universe directive".into()));
                     }
+                    // Elements are `u32`, so the universe is too.
                     let n = words
                         .next()
-                        .and_then(|w| w.parse::<usize>().ok())
-                        .ok_or_else(|| err(line_no, "universe expects a size".into()))?;
-                    universe = Some(n);
+                        .and_then(|w| w.parse::<u32>().ok())
+                        .ok_or_else(|| {
+                            err(line_no, "universe expects a size up to 4294967295".into())
+                        })?;
+                    universe = Some(n as usize);
                 }
                 "rel" => {
                     let spec = words
@@ -451,6 +450,7 @@ mod tests {
             ("universe 2\nuniverse 3", "duplicate universe"),
             ("universe 2\nfrobnicate", "unknown directive"),
             ("universe 2\nrel E/2\ninsert E a b", "numbers"),
+            ("universe 4294967296\nrel E/2", "universe expects a size"),
         ] {
             let err = StreamLog::parse(text).unwrap_err();
             assert!(

@@ -88,7 +88,7 @@ pub fn disjoint_union(a: &Structure, b: &Structure) -> Structure {
     let mut tuple = Vec::new();
     for (rel, _, _) in a.signature().iter() {
         for t in a.relation(rel).tuples() {
-            u.add_tuple(rel, t);
+            u.add_tuple(rel, &t);
         }
         for t in b.relation(rel).tuples() {
             tuple.clear();
@@ -131,7 +131,7 @@ pub fn augment(a: &Structure, pinned: &[u32]) -> Structure {
     let mut out = Structure::new(sig, a.universe_size());
     for (rel, _, _) in a.signature().iter() {
         for t in a.relation(rel).tuples() {
-            out.add_tuple(rel, t);
+            out.add_tuple(rel, &t);
         }
     }
     for (i, &e) in pinned.iter().enumerate() {

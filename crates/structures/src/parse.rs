@@ -13,7 +13,7 @@
 //! appearance; arities come from the first tuple, or from an explicit
 //! `/arity` suffix (required for empty relations).
 
-use crate::structure::{Signature, Structure};
+use crate::structure::{RelId, Relation, Signature, Structure};
 use std::fmt;
 
 /// Error from [`parse_structure`].
@@ -153,104 +153,67 @@ fn parse_one(c: &mut Cursor) -> Result<Structure, ParseError> {
     c.eat("{")?;
     c.eat("universe")?;
     let universe = c.number()? as usize;
+    let error = |message: String| Err(ParseError { message });
 
-    // First pass: gather relation clauses.
-    struct Clause {
-        name: String,
-        declared_arity: Option<usize>,
-        tuples: Vec<Vec<u32>>,
-    }
-    let mut clauses: Vec<Clause> = Vec::new();
-    loop {
-        if c.try_eat("}") {
-            break;
-        }
+    // One clause per relation; each clause's tuples go into one flat
+    // buffer and become a relation with one sort (inserting them one by
+    // one into sorted position would be quadratic in the clause size).
+    let mut sig = Signature::new();
+    let mut relations: Vec<Relation> = Vec::new();
+    while !c.try_eat("}") {
         let name = c.identifier()?;
-        let declared_arity = if c.try_eat("/") {
+        if sig.lookup(&name).is_some() {
+            return error(format!("duplicate relation {name}"));
+        }
+        let mut arity = if c.try_eat("/") {
             Some(c.number()? as usize)
         } else {
             None
         };
+        if arity == Some(0) {
+            return error(format!(
+                "relation {name} declares arity 0; arities are >= 1"
+            ));
+        }
         c.eat("=")?;
         c.eat("{")?;
-        let mut tuples = Vec::new();
-        loop {
-            if c.try_eat("}") {
-                break;
-            }
+        let mut values: Vec<u32> = Vec::new();
+        while !c.try_eat("}") {
             c.eat("(")?;
-            let mut tuple = vec![c.number()?];
-            while c.try_eat(",") {
-                tuple.push(c.number()?);
+            let start = values.len();
+            loop {
+                let e = c.number()?;
+                if e as usize >= universe {
+                    return error(format!("element {e} outside universe of size {universe}"));
+                }
+                values.push(e);
+                if !c.try_eat(",") {
+                    break;
+                }
             }
             c.eat(")")?;
-            tuples.push(tuple);
+            let width = values.len() - start;
+            let arity = *arity.get_or_insert(width);
+            if width != arity {
+                return error(format!(
+                    "relation {name} has mixed arities ({arity} vs {width})"
+                ));
+            }
             if c.peek() == Some(',') {
                 c.eat(",")?;
             }
         }
-        clauses.push(Clause {
-            name,
-            declared_arity,
-            tuples,
-        });
-    }
-
-    // Build the signature; `Signature::add_symbol` asserts what is
-    // checked here.
-    let mut sig = Signature::new();
-    for clause in &clauses {
-        if sig.lookup(&clause.name).is_some() {
-            return Err(ParseError {
-                message: format!("duplicate relation {}", clause.name),
-            });
-        }
-        let arity = match (clause.declared_arity, clause.tuples.first()) {
-            (Some(0), _) => {
-                return Err(ParseError {
-                    message: format!(
-                        "relation {} declares arity 0; arities are >= 1",
-                        clause.name
-                    ),
-                })
-            }
-            (Some(a), _) => a,
-            (None, Some(t)) => t.len(),
-            (None, None) => {
-                return Err(ParseError {
-                    message: format!(
-                        "relation {} is empty; declare its arity as {}/k",
-                        clause.name, clause.name
-                    ),
-                })
-            }
+        let Some(arity) = arity else {
+            return error(format!(
+                "relation {name} is empty; declare its arity as {name}/k"
+            ));
         };
-        sig.add_symbol(clause.name.clone(), arity);
+        relations.push(Relation::from_tuples(arity, values.chunks_exact(arity)));
+        sig.add_symbol(name, arity);
     }
     let mut s = Structure::new(sig, universe);
-    for clause in &clauses {
-        let rel = s.signature().lookup(&clause.name).expect("just added");
-        let arity = s.signature().arity(rel);
-        for tuple in &clause.tuples {
-            if tuple.len() != arity {
-                return Err(ParseError {
-                    message: format!(
-                        "relation {} has mixed arities ({} vs {})",
-                        clause.name,
-                        arity,
-                        tuple.len()
-                    ),
-                });
-            }
-            for &e in tuple {
-                if e as usize >= universe {
-                    return Err(ParseError {
-                        message: format!("element {e} outside universe of size {universe}"),
-                    });
-                }
-            }
-            s.add_tuple(rel, tuple);
-        }
+    for (i, relation) in relations.into_iter().enumerate() {
+        s.set_relation(RelId(i as u32), relation);
     }
     Ok(s)
 }

@@ -3,6 +3,7 @@
 use epq_graph::Graph;
 use std::cmp::Ordering;
 use std::fmt;
+use std::ops::Deref;
 
 /// Identifier of a relation symbol within a [`Signature`] (its index).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -96,21 +97,86 @@ impl Signature {
     }
 }
 
-/// One relation instance: an `arity`-strided, sorted, deduplicated tuple
-/// store. Membership and insertion binary-search its rows in place.
+/// One relation instance: a sorted, deduplicated set of fixed-arity
+/// tuples — the workspace's one tuple store, held by [`Structure`] and
+/// taken as the allowed set of every CSP constraint.
+///
+/// Tuples of arity 1–2 are packed into one `u64` each, of arity 3–4
+/// into one `u128`, first column in the high bits, so the integer order
+/// of the words is the lexicographic order of the tuples; wider tuples
+/// live in a sorted row-major `u32` arena. Membership and insertion
+/// pack the probe once and binary-search machine words, not slices.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Relation {
     arity: usize,
-    /// Flattened tuples (length = arity × tuple count), sorted as tuples.
-    data: Vec<u32>,
+    rows: Rows,
+}
+
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+enum Rows {
+    W64(Vec<u64>),
+    W128(Vec<u128>),
+    Wide(Vec<u32>),
+}
+
+fn pack64(tuple: &[u32]) -> u64 {
+    tuple.iter().fold(0, |acc, &v| (acc << 32) | u64::from(v))
+}
+
+fn pack128(tuple: &[u32]) -> u128 {
+    tuple.iter().fold(0, |acc, &v| (acc << 32) | u128::from(v))
+}
+
+/// The `arity` columns packed into `word`, first column highest.
+fn unpack(word: u128, arity: usize) -> [u32; 4] {
+    let mut out = [0u32; 4];
+    for (c, slot) in out[..arity].iter_mut().enumerate() {
+        *slot = (word >> (32 * (arity - 1 - c))) as u32;
+    }
+    out
+}
+
+fn sorted<W: Ord>(mut words: Vec<W>) -> Vec<W> {
+    words.sort_unstable();
+    words.dedup();
+    words
+}
+
+/// Sorts the `arity`-wide rows of a row-major arena and drops
+/// duplicates.
+fn sort_dedup_rows(arity: usize, data: Vec<u32>) -> Vec<u32> {
+    let row = |i: usize| &data[i * arity..(i + 1) * arity];
+    let mut order: Vec<usize> = (0..data.len() / arity).collect();
+    order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
+    order.dedup_by(|a, b| row(*a) == row(*b));
+    order.iter().flat_map(|&i| row(i)).copied().collect()
 }
 
 impl Relation {
-    fn new(arity: usize) -> Self {
-        Relation {
-            arity,
-            data: Vec::new(),
-        }
+    /// Builds a relation of width `arity` from tuples in any order, with
+    /// one sort and one dedup.
+    ///
+    /// # Panics
+    /// Panics if `arity` is 0 or a tuple's width differs from `arity`.
+    pub fn from_tuples<I>(arity: usize, tuples: I) -> Self
+    where
+        I: IntoIterator,
+        I::Item: AsRef<[u32]>,
+    {
+        assert!(arity >= 1, "relations have arity >= 1");
+        let tuples = tuples
+            .into_iter()
+            .inspect(|t| assert_eq!(t.as_ref().len(), arity, "tuple arity mismatch"));
+        let rows = match arity {
+            1 | 2 => Rows::W64(sorted(tuples.map(|t| pack64(t.as_ref())).collect())),
+            3 | 4 => Rows::W128(sorted(tuples.map(|t| pack128(t.as_ref())).collect())),
+            _ => {
+                let mut data = Vec::new();
+                tuples.for_each(|t| data.extend_from_slice(t.as_ref()));
+                Rows::Wide(sort_dedup_rows(arity, data))
+            }
+        };
+        Relation { arity, rows }
     }
 
     /// The arity.
@@ -120,47 +186,116 @@ impl Relation {
 
     /// Number of tuples.
     pub fn len(&self) -> usize {
-        self.data.len().checked_div(self.arity).unwrap_or(0)
+        match &self.rows {
+            Rows::W64(words) => words.len(),
+            Rows::W128(words) => words.len(),
+            Rows::Wide(data) => data.len() / self.arity,
+        }
     }
 
     /// Whether the relation is empty.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len() == 0
     }
 
-    /// Iterator over tuples (as slices).
-    pub fn tuples(&self) -> impl Iterator<Item = &[u32]> + '_ {
-        self.data.chunks_exact(self.arity)
+    /// Iterator over the tuples in lexicographic order.
+    pub fn tuples(&self) -> impl Iterator<Item = Tuple<'_>> + '_ {
+        let arity = self.arity;
+        (0..self.len()).map(move |i| {
+            Tuple(match &self.rows {
+                Rows::W64(words) => TupleRepr::Packed(unpack(words[i].into(), arity), arity),
+                Rows::W128(words) => TupleRepr::Packed(unpack(words[i], arity), arity),
+                Rows::Wide(data) => TupleRepr::Row(&data[i * arity..(i + 1) * arity]),
+            })
+        })
     }
 
     /// Whether `tuple` is in the relation.
+    ///
+    /// # Panics
+    /// Panics if the width of `tuple` differs from the arity.
     pub fn contains(&self, tuple: &[u32]) -> bool {
-        self.search(tuple).is_ok()
-    }
-
-    /// Inserts `tuple` in sorted position (a no-op if present).
-    fn insert(&mut self, tuple: &[u32]) {
-        if let Err(row) = self.search(tuple) {
-            let at = row * self.arity;
-            self.data.splice(at..at, tuple.iter().copied());
-        }
-    }
-
-    /// Binary search over the rows: `Ok(row)` where `tuple` sits, or
-    /// `Err(row)` where it would be inserted.
-    fn search(&self, tuple: &[u32]) -> Result<usize, usize> {
         assert_eq!(tuple.len(), self.arity, "tuple arity mismatch");
-        let (mut lo, mut hi) = (0, self.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let start = mid * self.arity;
-            match self.data[start..start + self.arity].cmp(tuple) {
-                Ordering::Less => lo = mid + 1,
-                Ordering::Greater => hi = mid,
-                Ordering::Equal => return Ok(mid),
-            }
+        match &self.rows {
+            Rows::W64(words) => words.binary_search(&pack64(tuple)).is_ok(),
+            Rows::W128(words) => words.binary_search(&pack128(tuple)).is_ok(),
+            Rows::Wide(data) => search_rows(data, tuple).is_ok(),
         }
-        Err(lo)
+    }
+
+    /// Inserts `tuple` in sorted position, returning whether it was new
+    /// (a present tuple is a no-op).
+    fn insert(&mut self, tuple: &[u32]) -> bool {
+        assert_eq!(tuple.len(), self.arity, "tuple arity mismatch");
+        match &mut self.rows {
+            Rows::W64(words) => insert_sorted(words, pack64(tuple)),
+            Rows::W128(words) => insert_sorted(words, pack128(tuple)),
+            Rows::Wide(data) => match search_rows(data, tuple) {
+                Ok(_) => false,
+                Err(row) => {
+                    let at = row * tuple.len();
+                    data.splice(at..at, tuple.iter().copied());
+                    true
+                }
+            },
+        }
+    }
+}
+
+fn insert_sorted<W: Ord>(words: &mut Vec<W>, word: W) -> bool {
+    match words.binary_search(&word) {
+        Ok(_) => false,
+        Err(at) => {
+            words.insert(at, word);
+            true
+        }
+    }
+}
+
+/// Binary search over the rows of a sorted arena of `tuple`-wide rows:
+/// `Ok(row)` where `tuple` sits, or `Err(row)` where it would be
+/// inserted.
+fn search_rows(data: &[u32], tuple: &[u32]) -> Result<usize, usize> {
+    let arity = tuple.len();
+    let (mut lo, mut hi) = (0, data.len() / arity);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        match data[mid * arity..(mid + 1) * arity].cmp(tuple) {
+            Ordering::Less => lo = mid + 1,
+            Ordering::Greater => hi = mid,
+            Ordering::Equal => return Ok(mid),
+        }
+    }
+    Err(lo)
+}
+
+/// One tuple of a [`Relation`], as yielded by [`Relation::tuples`]:
+/// unpacked from its word, or borrowed from the wide arena. It
+/// dereferences to `[u32]`.
+#[derive(Clone, Copy)]
+pub struct Tuple<'a>(TupleRepr<'a>);
+
+#[derive(Clone, Copy)]
+enum TupleRepr<'a> {
+    /// The unpacked columns and the arity.
+    Packed([u32; 4], usize),
+    Row(&'a [u32]),
+}
+
+impl Deref for Tuple<'_> {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        match &self.0 {
+            TupleRepr::Packed(values, arity) => &values[..*arity],
+            TupleRepr::Row(row) => row,
+        }
+    }
+}
+
+impl fmt::Debug for Tuple<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
     }
 }
 
@@ -175,10 +310,17 @@ pub struct Structure {
 
 impl Structure {
     /// An empty structure over `signature` with the given universe size.
+    ///
+    /// # Panics
+    /// Panics if `universe_size` exceeds `u32::MAX` (elements are `u32`).
     pub fn new(signature: Signature, universe_size: usize) -> Self {
+        assert!(
+            universe_size <= u32::MAX as usize,
+            "universe size {universe_size} exceeds u32::MAX"
+        );
         let relations = signature
             .iter()
-            .map(|(_, _, arity)| Relation::new(arity))
+            .map(|(_, _, arity)| Relation::from_tuples(arity, std::iter::empty::<&[u32]>()))
             .collect();
         Structure {
             signature,
@@ -207,11 +349,20 @@ impl Structure {
         &self.relations[rel.0 as usize]
     }
 
-    /// Adds a tuple to `rel`'s relation (idempotent).
+    /// Replaces `rel`'s relation wholesale (the parser's bulk path; its
+    /// elements are already range-checked).
+    pub(crate) fn set_relation(&mut self, rel: RelId, relation: Relation) {
+        let slot = &mut self.relations[rel.0 as usize];
+        assert_eq!(slot.arity(), relation.arity(), "relation arity mismatch");
+        *slot = relation;
+    }
+
+    /// Adds a tuple to `rel`'s relation, returning whether it was new
+    /// (idempotent).
     ///
     /// # Panics
     /// Panics if elements are out of range or the arity mismatches.
-    pub fn add_tuple(&mut self, rel: RelId, tuple: &[u32]) {
+    pub fn add_tuple(&mut self, rel: RelId, tuple: &[u32]) -> bool {
         for &e in tuple {
             assert!(
                 (e as usize) < self.universe_size,
@@ -219,7 +370,7 @@ impl Structure {
                 self.universe_size
             );
         }
-        self.relations[rel.0 as usize].insert(tuple);
+        self.relations[rel.0 as usize].insert(tuple)
     }
 
     /// Adds a tuple by relation name.
@@ -375,6 +526,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "exceeds u32::MAX")]
+    fn universe_past_u32_panics() {
+        Structure::new(digraph_sig(), u32::MAX as usize + 1);
+    }
+
+    #[test]
     fn gaifman_graph_of_ternary_tuple() {
         let sig = Signature::from_symbols([("T", 3)]);
         let mut s = Structure::new(sig, 4);
@@ -430,6 +587,68 @@ mod tests {
         for t in [[0, 0], [0, 2], [2, 1], [2, 2]] {
             assert!(!s.has_tuple(e, &t), "{t:?}");
         }
+    }
+
+    fn relation(tuples: &[&[u32]]) -> Relation {
+        Relation::from_tuples(tuples[0].len(), tuples)
+    }
+
+    #[test]
+    fn membership_across_arities() {
+        for arity in 1usize..=6 {
+            let tuples: Vec<Vec<u32>> = (0..40u32)
+                .map(|i| (0..arity as u32).map(|c| (i * 7 + c * 3) % 11).collect())
+                .collect();
+            let reference: std::collections::HashSet<Vec<u32>> = tuples.iter().cloned().collect();
+            let packed = Relation::from_tuples(arity, &tuples);
+            assert_eq!(packed.len(), reference.len(), "arity {arity}");
+            // Probe the full cross-space of small values.
+            let mut probe = vec![0u32; arity];
+            loop {
+                assert_eq!(
+                    packed.contains(&probe),
+                    reference.contains(&probe),
+                    "arity {arity}, probe {probe:?}"
+                );
+                let mut i = 0;
+                while i < arity {
+                    probe[i] += 1;
+                    if probe[i] < 12 {
+                        break;
+                    }
+                    probe[i] = 0;
+                    i += 1;
+                }
+                if i == arity {
+                    break;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn full_32_bit_columns_pack_without_collision() {
+        let big = u32::MAX;
+        let s = relation(&[&[big, 0], &[0, big], &[big, big]]);
+        assert!(s.contains(&[big, 0]));
+        assert!(s.contains(&[0, big]));
+        assert!(s.contains(&[big, big]));
+        assert!(!s.contains(&[big - 1, big]));
+        let s4 = relation(&[&[big, 0, big, 1]]);
+        assert!(s4.contains(&[big, 0, big, 1]));
+        assert!(!s4.contains(&[big, 0, big, 2]));
+    }
+
+    #[test]
+    fn duplicates_collapse_and_iter_is_sorted() {
+        let s = relation(&[&[3, 1], &[0, 2], &[3, 1]]);
+        assert_eq!(s.len(), 2);
+        let tuples: Vec<Vec<u32>> = s.tuples().map(|t| t.to_vec()).collect();
+        assert_eq!(tuples, vec![vec![0, 2], vec![3, 1]]);
+        // Wide arity round-trips through tuples() too.
+        let w = relation(&[&[5, 4, 3, 2, 1], &[1, 2, 3, 4, 5]]);
+        let rows: Vec<Vec<u32>> = w.tuples().map(|t| t.to_vec()).collect();
+        assert_eq!(rows, vec![vec![1, 2, 3, 4, 5], vec![5, 4, 3, 2, 1]]);
     }
 
     #[test]

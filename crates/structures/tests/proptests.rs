@@ -1,7 +1,7 @@
 //! Property tests for the structures substrate: the tuple store against
 //! a set model, homomorphism counting laws under products and unions,
-//! core idempotence, parse/display round-trips, and augmentation
-//! pinning.
+//! core idempotence, parse/display round-trips (shuffled input
+//! included), and augmentation pinning.
 
 use epq_bigint::Natural;
 use epq_structures::{core, hom, iso, ops, parse, LiveStructure, RelId, Signature, Structure};
@@ -149,19 +149,26 @@ proptest! {
 
     /// Random inserts, with repeats and in random order, into a live
     /// structure and into a `BTreeSet` model: the relation lists the
-    /// model's tuples in order, membership agrees on every tuple of the
-    /// universe, and each insert reports whether its tuple was new.
+    /// model's tuples in order, membership agrees on every tuple over
+    /// the drawn values, and each insert reports whether its tuple was
+    /// new. Arities 1–6 cover the `u64`, `u128` and arena layouts; the
+    /// values mix small elements with ones near `u32::MAX`, so packed
+    /// columns use all 32 bits.
     #[test]
     fn tuple_store_matches_a_set_model(
         n in 1u32..=4,
-        arity in 1usize..=3,
+        arity in 1usize..=6,
         draws in collection::vec(any::<u32>(), 0..48),
     ) {
+        let values = &[0, u32::MAX - 1, 1, u32::MAX - 2][..n as usize];
         let rel = RelId(0);
-        let mut live = LiveStructure::new(Signature::from_symbols([("R", arity)]), n as usize);
+        let universe = u32::MAX as usize;
+        let mut live = LiveStructure::new(Signature::from_symbols([("R", arity)]), universe);
         let mut model: BTreeSet<Vec<u32>> = BTreeSet::new();
         for draw in draws {
-            let tuple: Vec<u32> = (0..arity as u32).map(|i| (draw >> (8 * i)) % n).collect();
+            let tuple: Vec<u32> = (0..arity as u32)
+                .map(|i| values[(draw.rotate_right(5 * i) % n) as usize])
+                .collect();
             let new = model.insert(tuple.clone());
             prop_assert_eq!(live.insert_tuple(rel, &tuple), new, "insert {:?}", tuple);
         }
@@ -176,13 +183,48 @@ proptest! {
         let mut probe = vec![0u32; arity];
         for code in 0..n.pow(arity as u32) {
             for (i, slot) in probe.iter_mut().enumerate() {
-                *slot = code / n.pow(i as u32) % n;
+                *slot = values[(code / n.pow(i as u32) % n) as usize];
             }
             prop_assert_eq!(
                 live.snapshot().has_tuple(rel, &probe),
                 model.contains(&probe),
                 "probe {:?}", probe
             );
+        }
+    }
+
+    /// A structure written with its tuples in shuffled order, repeats
+    /// included, parses to the structure built by inserting them, and
+    /// so does its `Display`: the parser's one sort per relation puts
+    /// every layout (arities 1–6) in canonical order.
+    #[test]
+    fn shuffled_structure_text_parses_back(
+        n in 1u32..=5,
+        draws in collection::vec(any::<u32>(), 0..40),
+    ) {
+        let sig = Signature::from_symbols((1..=6).map(|k| (format!("R{k}"), k)));
+        let mut built = Structure::new(sig.clone(), n as usize);
+        let mut clauses: Vec<Vec<String>> = vec![Vec::new(); sig.len()];
+        for draw in draws {
+            let rel = RelId(draw % 6);
+            let tuple: Vec<u32> = (0..sig.arity(rel) as u32)
+                .map(|i| draw.rotate_right(3 + 4 * i) % n)
+                .collect();
+            built.add_tuple(rel, &tuple);
+            let shown: Vec<String> = tuple.iter().map(u32::to_string).collect();
+            clauses[rel.0 as usize].push(format!("({})", shown.join(",")));
+        }
+        let mut text = format!("structure {{ universe {n}");
+        for ((_, name, arity), tuples) in sig.iter().zip(&clauses) {
+            text.push_str(&format!(" {name}/{arity} = {{ {} }}", tuples.join(", ")));
+        }
+        text.push_str(" }");
+        let parsed = parse::parse_structure(&text);
+        prop_assert_eq!(parsed.as_ref(), Ok(&built), "{}", text);
+        // Display omits arities, so it parses back only when no
+        // relation is empty.
+        if built.signature().iter().all(|(rel, _, _)| !built.relation(rel).is_empty()) {
+            prop_assert_eq!(parse::parse_structure(&built.to_string()), Ok(built));
         }
     }
 }

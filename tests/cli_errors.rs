@@ -129,3 +129,36 @@ fn valueless_unknown_and_repeated_flags_exit_1() {
         assert_clean_failure(&[&count[..], extra].concat(), needle);
     }
 }
+
+/// Elements and engine domains are `u32`, so a stream universe past
+/// `u32::MAX` is a parse error, as it is in the structure format, on
+/// every engine.
+#[test]
+fn stream_universe_past_u32_exit_1() {
+    let dir = std::env::temp_dir().join(format!("epq-cli-stream-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for universe in ["4294967296", "4294967297"] {
+        let file = dir.join(format!("u{universe}.stream"));
+        std::fs::write(
+            &file,
+            format!("universe {universe}\nrel E/2\ninsert E 0 0\ncheckpoint\n"),
+        )
+        .unwrap();
+        let file = file.to_str().unwrap();
+        for engine in ["fpt", "relalg"] {
+            assert_clean_failure(
+                &[
+                    "count",
+                    "--query",
+                    "(x,y) := E(x,x)",
+                    "--stream",
+                    file,
+                    "--engine",
+                    engine,
+                ],
+                "universe",
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

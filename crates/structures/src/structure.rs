@@ -127,13 +127,22 @@ fn pack128(tuple: &[u32]) -> u128 {
     tuple.iter().fold(0, |acc, &v| (acc << 32) | u128::from(v))
 }
 
-/// The `arity` columns packed into `word`, first column highest.
-fn unpack(word: u128, arity: usize) -> [u32; 4] {
-    let mut out = [0u32; 4];
-    for (c, slot) in out[..arity].iter_mut().enumerate() {
-        *slot = (word >> (32 * (arity - 1 - c))) as u32;
-    }
-    out
+/// The `arity` columns packed into `word`, first column first: shifting
+/// out the unused high columns aligns the first column with the top.
+fn unpack64(word: u64, arity: usize) -> [u32; 4] {
+    let w = word << (32 * (2 - arity));
+    [(w >> 32) as u32, w as u32, 0, 0]
+}
+
+/// [`unpack64`] for arity 3–4.
+fn unpack128(word: u128, arity: usize) -> [u32; 4] {
+    let w = word << (32 * (4 - arity));
+    [
+        (w >> 96) as u32,
+        (w >> 64) as u32,
+        (w >> 32) as u32,
+        w as u32,
+    ]
 }
 
 fn sorted<W: Ord>(mut words: Vec<W>) -> Vec<W> {
@@ -203,8 +212,8 @@ impl Relation {
         let arity = self.arity;
         (0..self.len()).map(move |i| {
             Tuple(match &self.rows {
-                Rows::W64(words) => TupleRepr::Packed(unpack(words[i].into(), arity), arity),
-                Rows::W128(words) => TupleRepr::Packed(unpack(words[i], arity), arity),
+                Rows::W64(words) => TupleRepr::Packed(unpack64(words[i], arity), arity),
+                Rows::W128(words) => TupleRepr::Packed(unpack128(words[i], arity), arity),
                 Rows::Wide(data) => TupleRepr::Row(&data[i * arity..(i + 1) * arity]),
             })
         })

@@ -58,7 +58,6 @@ fn search_bijection(
     if assignment.len() == s {
         return true; // pruning already established extendability
     }
-    let i = assignment.len() as u32;
     for j in 0..s as u32 {
         if used[j as usize] {
             continue;
@@ -77,7 +76,6 @@ fn search_bijection(
         }
         assignment.pop();
         used[j as usize] = false;
-        let _ = i;
     }
     false
 }

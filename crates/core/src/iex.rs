@@ -19,6 +19,14 @@
 //! equivalent (answer-preserving, so all counts are unchanged), make
 //! counting-equivalence checks cheaper, and are the objects whose
 //! treewidth the tractability condition measures anyway.
+//!
+//! The merge is **bucketed**: each term is keyed by an isomorphism
+//! invariant of its core ([`epq_structures::iso::invariant`] with the
+//! liberal elements marked), and the counting-equivalence check runs
+//! only against the earlier terms with the same key. Counting-equivalent
+//! cores are isomorphic with liberal elements mapped onto liberal
+//! elements (see [`merge_terms`]), so they always share a key, and the
+//! merge finds exactly the partners the all-pairs scan would find.
 
 use crate::equivalence::counting_equivalent;
 use epq_bigint::{Integer, Natural};
@@ -26,7 +34,8 @@ use epq_counting::PpCountingEngine;
 use epq_logic::dnf::MAX_EXPANSION_DISJUNCTS;
 use epq_logic::query::LogicError;
 use epq_logic::PpFormula;
-use epq_structures::Structure;
+use epq_structures::{iso, Structure};
+use std::collections::HashMap;
 
 /// Checks that `s` disjuncts are within [`MAX_EXPANSION_DISJUNCTS`] —
 /// the typed error every user-reachable route into
@@ -88,16 +97,40 @@ pub fn inclusion_exclusion_terms(disjuncts: &[PpFormula]) -> Vec<SignedPp> {
 
 /// Merges counting-equivalent terms and drops zero coefficients,
 /// producing `φ*` with its coefficients (Proposition 5.16). Terms keep
-/// first-appearance order.
+/// first-appearance order, and each merged term keeps the formula of
+/// its first appearance.
+///
+/// Each term is keyed by [`iso::invariant`] of its core, and
+/// [`counting_equivalent`] runs only against the earlier kept terms
+/// with the same key, in first-appearance order. This is sound:
+/// suppose two cores are counting equivalent. Theorem 5.4 gives
+/// liberal bijections that extend to homomorphisms `h` and `g` both
+/// ways. The composite `g ∘ h` is an endomorphism of a core that
+/// permutes the liberal set `S`, so some power of it fixes `S`
+/// pointwise and is an automorphism. Hence `h` and `g` are injective,
+/// the tuple counts match, and the cores are isomorphic with `S`
+/// mapped onto `S` — exactly the isomorphisms the key is invariant
+/// under. The key is taken of the core, so non-core input is sound
+/// too; the expansion's terms are already cores, and coring them again
+/// is free ([`PpFormula::core`]).
 pub fn merge_terms(terms: Vec<SignedPp>) -> Vec<SignedPp> {
     let mut merged: Vec<SignedPp> = Vec::new();
+    // Invariant key → indices into `merged`, in first-appearance order.
+    let mut buckets: HashMap<Vec<u64>, Vec<usize>> = HashMap::new();
     for term in terms {
-        match merged
-            .iter_mut()
-            .find(|m| counting_equivalent(&m.formula, &term.formula))
+        let core = term.formula.core();
+        let bucket = buckets
+            .entry(iso::invariant(core.structure(), core.liberal_count()))
+            .or_default();
+        match bucket
+            .iter()
+            .find(|&&i| counting_equivalent(&merged[i].formula, &term.formula))
         {
-            Some(m) => m.coefficient += &term.coefficient,
-            None => merged.push(term),
+            Some(&i) => merged[i].coefficient += &term.coefficient,
+            None => {
+                bucket.push(merged.len());
+                merged.push(term);
+            }
         }
     }
     merged.retain(|m| !m.coefficient.is_zero());
@@ -252,6 +285,24 @@ mod tests {
         let star_terms = star(&ds);
         assert_eq!(star_terms.len(), 1);
         assert_eq!(star_terms[0].coefficient.to_i64(), Some(1));
+    }
+
+    #[test]
+    fn merge_keys_non_core_terms_by_their_cores() {
+        // ∃y,z . E(x,y) ∧ E(x,z) is not a core; its core is ∃y . E(x,y).
+        // Keyed on the raw formulas the two would land in different
+        // buckets and never merge.
+        let (_, wide) = disjuncts_of("(x) := exists y, z . E(x,y) & E(x,z)");
+        let (_, narrow) = disjuncts_of("(x) := exists y . E(x,y)");
+        let term = |formula: &PpFormula, c: i64| SignedPp {
+            formula: formula.clone(),
+            coefficient: Integer::from(c),
+        };
+        let merged = merge_terms(vec![term(&wide[0], 1), term(&narrow[0], 2)]);
+        assert_eq!(merged.len(), 1);
+        assert_eq!(merged[0].formula, wide[0]);
+        assert_eq!(merged[0].coefficient.to_i64(), Some(3));
+        assert!(merge_terms(vec![term(&narrow[0], 1), term(&wide[0], -1)]).is_empty());
     }
 
     #[test]

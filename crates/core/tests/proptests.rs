@@ -1,13 +1,16 @@
 //! Property tests for `epq-core`: the oracle reductions round-trip on
 //! random queries/structures, redundant disjuncts change no count,
 //! width or `φ*_af`, the batched prepared-query API is bit-identical
-//! to sequential counting at every thread count, and incremental
+//! to sequential counting at every thread count, incremental
 //! streaming maintenance agrees with from-scratch recounts after every
-//! random insert sequence.
+//! random insert sequence, and the bucketed `φ*` merge keys
+//! counting-equivalent terms alike and returns what the all-pairs merge
+//! returns.
 
 use epq_core::classify::classify_query;
 use epq_core::count::{count_ep, count_ep_with};
-use epq_core::iex::star;
+use epq_core::equivalence::counting_equivalent;
+use epq_core::iex::{inclusion_exclusion_terms, star, SignedPp};
 use epq_core::incremental::LiveCount;
 use epq_core::oracle;
 use epq_core::plus::plus_decomposition;
@@ -15,6 +18,7 @@ use epq_core::prepared::{count_ep_batch, PreparedQuery};
 use epq_counting::brute;
 use epq_counting::engines::{FptEngine, RelalgEngine};
 use epq_logic::{dnf, Atom, Formula, PpFormula, Query, Var};
+use epq_structures::iso;
 use epq_workloads::{data, queries};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -295,5 +299,113 @@ proptest! {
         for (i, m) in maintainers.iter_mut().enumerate() {
             prop_assert_eq!(&m.current(), &expected, "maintainer {} vs brute force", i);
         }
+    }
+}
+
+/// The all-pairs merge that `iex::merge_terms` replaced: each term is
+/// compared with every kept term.
+fn quadratic_merge(terms: Vec<SignedPp>) -> Vec<SignedPp> {
+    let mut merged: Vec<SignedPp> = Vec::new();
+    for term in terms {
+        match merged
+            .iter_mut()
+            .find(|m| counting_equivalent(&m.formula, &term.formula))
+        {
+            Some(m) => m.coefficient += &term.coefficient,
+            None => merged.push(term),
+        }
+    }
+    merged.retain(|m| !m.coefficient.is_zero());
+    merged
+}
+
+/// `pp` with its liberal names rotated by `rotate` places and its
+/// quantified variables renamed to `q0, q1, …` in reverse prefix order:
+/// a counting-equivalent copy whose elements sit in other positions.
+fn permuted_copy(pp: &PpFormula, rotate: usize) -> PpFormula {
+    let s = pp.liberal_count();
+    let n = pp.structure().universe_size();
+    let name = |e: usize| {
+        if e < s {
+            pp.liberal_names()[(e + rotate) % s].clone()
+        } else {
+            Var::new(format!("q{}", n - 1 - e))
+        }
+    };
+    let mut atoms = Vec::new();
+    for (rel, relation, _) in pp.signature().iter() {
+        for t in pp.structure().relation(rel).tuples() {
+            atoms.push(Atom::new(
+                relation,
+                t.iter().map(|&e| name(e as usize)).collect(),
+            ));
+        }
+    }
+    let quantified: Vec<Var> = (s..n).rev().map(name).collect();
+    PpFormula::from_parts(
+        pp.signature(),
+        (0..s).map(name).collect(),
+        quantified,
+        &atoms,
+    )
+    .unwrap()
+}
+
+fn key(pp: &PpFormula) -> Vec<u64> {
+    let core = pp.core();
+    iso::invariant(core.structure(), core.liberal_count())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Bucket soundness: the cored disjuncts and conjunctions of a
+    /// random UCQ, and α-renamed, liberal-permuted copies of them, get
+    /// the key of their original; and any counting-equivalent pair among
+    /// all of them shares a key.
+    #[test]
+    fn counting_equivalent_terms_share_a_merge_key(
+        qseed in 0u64..10_000,
+        rotate in 0usize..3,
+    ) {
+        let sig = epq_structures::Signature::from_symbols([("E", 2), ("F", 2)]);
+        let query = queries::random_ucq_over(
+            &mut StdRng::seed_from_u64(qseed), &sig, 3, 3, 2, 0.3);
+        let ds = dnf::disjuncts(&query, &sig).unwrap();
+        let mut pool: Vec<PpFormula> =
+            inclusion_exclusion_terms(&ds).into_iter().map(|t| t.formula).collect();
+        for term in pool.clone() {
+            let copy = permuted_copy(&term, rotate);
+            prop_assert!(counting_equivalent(&term, &copy), "{} vs {}", term, copy);
+            prop_assert_eq!(key(&copy), key(&term), "{} vs {}", term, copy);
+            pool.push(copy);
+        }
+        for (i, a) in pool.iter().enumerate() {
+            for b in &pool[i + 1..] {
+                if counting_equivalent(a, b) {
+                    prop_assert_eq!(key(a), key(b), "{} vs {}", a, b);
+                }
+            }
+        }
+    }
+
+    /// The bucketed merge returns the all-pairs merge's terms, in the
+    /// same order, with the same formulas and coefficients.
+    #[test]
+    fn star_equals_the_all_pairs_merge(
+        qseed in 0u64..10_000,
+        disjuncts in 1usize..=4,
+    ) {
+        let sig = epq_structures::Signature::from_symbols([("E", 2), ("F", 2)]);
+        let query = queries::random_ucq_over(
+            &mut StdRng::seed_from_u64(qseed), &sig, disjuncts, 3, 2, 0.3);
+        let ds = dnf::disjuncts(&query, &sig).unwrap();
+        let pairs = |terms: Vec<SignedPp>| -> Vec<_> {
+            terms.into_iter().map(|t| (t.formula, t.coefficient)).collect()
+        };
+        prop_assert_eq!(
+            pairs(star(&ds)),
+            pairs(quadratic_merge(inclusion_exclusion_terms(&ds)))
+        );
     }
 }

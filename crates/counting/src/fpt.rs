@@ -48,6 +48,9 @@ use std::collections::HashSet;
 /// unions / summed `Natural` partials) are order-insensitive, so the
 /// result is identical at every thread count; `threads <= 1` runs the
 /// sequential algorithm.
+///
+/// Coring on entry is free for a formula that is already a core, such
+/// as every `φ*` term: [`PpFormula::core`] returns a marked core as is.
 pub fn count_pp_fpt(pp: &PpFormula, b: &Structure, threads: usize) -> Natural {
     let core = pp.core();
     let s = core.liberal_count();

@@ -17,7 +17,10 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
 /// A prenex pp-formula as a pair `(A, S)`.
-#[derive(Clone, PartialEq, Eq, Debug)]
+///
+/// Equality compares the structure, the names and the liberal count;
+/// it ignores whether the formula is known to be a core.
+#[derive(Clone, Debug)]
 pub struct PpFormula {
     /// The structure **A** over the query's signature.
     structure: Structure,
@@ -26,7 +29,19 @@ pub struct PpFormula {
     /// Number of liberal elements (they occupy indices `0..liberal_count`,
     /// sorted by name).
     liberal_count: usize,
+    /// Set only by [`PpFormula::core`]: the formula is its own core.
+    known_core: bool,
 }
+
+impl PartialEq for PpFormula {
+    fn eq(&self, other: &Self) -> bool {
+        self.structure == other.structure
+            && self.names == other.names
+            && self.liberal_count == other.liberal_count
+    }
+}
+
+impl Eq for PpFormula {}
 
 impl PpFormula {
     /// Converts a primitive positive [`Query`] into its structure view.
@@ -113,6 +128,7 @@ impl PpFormula {
             structure,
             names,
             liberal_count,
+            known_core: false,
         })
     }
 
@@ -197,7 +213,16 @@ impl PpFormula {
     /// The core of the pp-formula: the core of aug(A, S) with the pin
     /// relations stripped, re-canonicalized. Liberal elements always
     /// survive coring (their pins force fixpoints).
+    ///
+    /// The result carries a private "known core" mark, and `core()` on
+    /// a marked formula returns a clone. That is exact, not a cache:
+    /// coring a core drops no element and its canonical order is the
+    /// identity, so recomputing would give the same structure and
+    /// names. Every other constructor leaves the mark unset.
     pub fn core(&self) -> PpFormula {
+        if self.known_core {
+            return self.clone();
+        }
         let aug = self.augmented();
         let (core_aug, map) = core::core_of(&aug);
         // Where did each liberal element land? Pins guarantee they are all
@@ -236,6 +261,7 @@ impl PpFormula {
             structure,
             names,
             liberal_count: self.liberal_count,
+            known_core: true,
         }
     }
 
@@ -278,6 +304,7 @@ impl PpFormula {
             structure,
             names: self.names.clone(),
             liberal_count: self.liberal_count,
+            known_core: false,
         }
     }
 
@@ -299,6 +326,7 @@ impl PpFormula {
             structure,
             names,
             liberal_count,
+            known_core: false,
         }
     }
 
@@ -353,6 +381,7 @@ impl PpFormula {
             structure,
             names,
             liberal_count,
+            known_core: false,
         }
     }
 
@@ -594,6 +623,26 @@ mod tests {
         assert_eq!(core.name(0), &Var::new("x"));
         // Core is logically equivalent to the original.
         assert!(core.logically_equivalent(&phi));
+    }
+
+    #[test]
+    fn core_is_marked_and_recoring_changes_nothing() {
+        let phi = example_2_2();
+        let core = phi.core();
+        assert!(core.known_core && !phi.known_core);
+        assert_eq!(core.core(), core);
+        // Recomputing with the mark cleared gives the same structure and
+        // names, and `==` ignores the mark.
+        let mut cleared = core.clone();
+        cleared.known_core = false;
+        let recomputed = cleared.core();
+        assert_eq!(recomputed.structure(), core.structure());
+        assert_eq!(recomputed.names(), core.names());
+        assert_eq!(cleared, core);
+        // Other constructors leave the mark unset.
+        assert!(!core.hat().known_core);
+        assert!(!PpFormula::conjoin(&[&core]).known_core);
+        assert!(core.components().iter().all(|c| !c.known_core));
     }
 
     #[test]

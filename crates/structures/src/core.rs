@@ -18,28 +18,38 @@ pub fn homomorphically_equivalent(a: &Structure, b: &Structure) -> bool {
 /// Computes a core of `a`, returned together with the map from the core's
 /// universe indices to the original elements of `a`.
 ///
-/// Strategy: repeatedly look for an element `v` such that **A** maps
-/// homomorphically into **A** restricted to `universe ∖ {v}` (such a map
-/// witnesses hom-equivalence with the smaller induced substructure); when
-/// no element can be dropped, every endomorphism is surjective and the
-/// structure is a core.
+/// Strategy: one pass over the elements, dropping `v` whenever the
+/// current retract **A′** maps homomorphically into **A′** restricted
+/// to `universe ∖ {v}` (such a map witnesses hom-equivalence with the
+/// smaller induced substructure). After a drop the pass continues at
+/// the same index, which now names the next element. When the pass
+/// ends, no element can be dropped, every endomorphism is surjective
+/// and the structure is a core.
+///
+/// A failed drop never needs retrying. Every later retract **A″** is an
+/// induced substructure of **A′** with **A′** → **A″**; if
+/// **A″** → **A″** − v, then **A′** → **A″** → **A″** − v ⊆ **A′** − v,
+/// so `v` would have dropped from **A′** already. The pass therefore
+/// drops exactly the elements a restart-from-zero loop drops, in the
+/// same order, with O(n) rather than O(n²) homomorphism searches.
 pub fn core_of(a: &Structure) -> (Structure, Vec<u32>) {
     let mut current = a.clone();
     // element_of[i] = original element of `a` behind current index i.
     let mut element_of: Vec<u32> = (0..a.universe_size() as u32).collect();
-    'outer: loop {
-        let n = current.universe_size();
-        for drop in 0..n as u32 {
-            let rest: Vec<u32> = (0..n as u32).filter(|&v| v != drop).collect();
-            let (candidate, map) = current.induced_substructure(&rest);
-            if homomorphism_exists(&current, &candidate) {
-                element_of = map.iter().map(|&m| element_of[m as usize]).collect();
-                current = candidate;
-                continue 'outer;
-            }
+    let mut drop = 0u32;
+    while (drop as usize) < current.universe_size() {
+        let rest: Vec<u32> = (0..current.universe_size() as u32)
+            .filter(|&v| v != drop)
+            .collect();
+        let (candidate, map) = current.induced_substructure(&rest);
+        if homomorphism_exists(&current, &candidate) {
+            element_of = map.iter().map(|&m| element_of[m as usize]).collect();
+            current = candidate;
+        } else {
+            drop += 1;
         }
-        return (current, element_of);
     }
+    (current, element_of)
 }
 
 /// Whether `a` is a core (no proper retract).

@@ -21,7 +21,8 @@
 //!   the one-point structure I_τ, the `B + k·I` padding of Theorem 5.9,
 //!   and structure augmentation (the `R_a` pinning relations of aug(A, S));
 //! * [`core`] — cores, homomorphic equivalence, retract computation;
-//! * [`iso`] — isomorphism testing (used to compare cores);
+//! * [`iso`] — isomorphism testing and the isomorphism invariant that
+//!   buckets the `φ*` merge (used to compare cores);
 //! * [`parse`] — a small text format for structures, round-tripping with
 //!   `Display`;
 //! * [`live`] — append-only tuple ingestion ([`LiveStructure`]: dirty

@@ -1,7 +1,8 @@
 //! Property tests for the structures substrate: the tuple store against
 //! a set model, homomorphism counting laws under products and unions,
-//! core idempotence, parse/display round-trips (shuffled input
-//! included), and augmentation pinning.
+//! core idempotence, the one-pass core against the restart loop,
+//! parse/display round-trips (shuffled input included), and
+//! augmentation pinning.
 
 use epq_bigint::Natural;
 use epq_structures::{core, hom, iso, ops, parse, LiveStructure, RelId, Signature, Structure};
@@ -25,6 +26,26 @@ fn small_digraph() -> impl Strategy<Value = Structure> {
         }
         s
     })
+}
+
+/// The core loop that `core::core_of` replaced: after every drop it
+/// restarts at element 0 and retries the elements that already failed.
+fn restart_core_of(a: &Structure) -> (Structure, Vec<u32>) {
+    let mut current = a.clone();
+    let mut element_of: Vec<u32> = (0..a.universe_size() as u32).collect();
+    'outer: loop {
+        let n = current.universe_size();
+        for drop in 0..n as u32 {
+            let rest: Vec<u32> = (0..n as u32).filter(|&v| v != drop).collect();
+            let (candidate, map) = current.induced_substructure(&rest);
+            if hom::homomorphism_exists(&current, &candidate) {
+                element_of = map.iter().map(|&m| element_of[m as usize]).collect();
+                current = candidate;
+                continue 'outer;
+            }
+        }
+        return (current, element_of);
+    }
 }
 
 proptest! {
@@ -74,6 +95,22 @@ proptest! {
         prop_assert!(core::homomorphically_equivalent(&a, &core1));
         let (core2, _) = core::core_of(&core1);
         prop_assert!(iso::isomorphic(&core1, &core2));
+    }
+
+    /// The one-pass `core_of` returns the very structure and element
+    /// map of the restart loop: on a digraph, on a disjoint union of two
+    /// (up to 8 elements, so several drops happen), and on that union
+    /// augmented with pins on its first elements.
+    #[test]
+    fn one_pass_core_matches_the_restart_loop(
+        a in small_digraph(), b in small_digraph(), pins in 0usize..=3,
+    ) {
+        let union = ops::disjoint_union(&a, &b);
+        let pinned: Vec<u32> = (0..pins.min(union.universe_size()) as u32).collect();
+        let augmented = ops::augment(&union, &pinned);
+        for s in [a, union, augmented] {
+            prop_assert_eq!(core::core_of(&s), restart_core_of(&s));
+        }
     }
 
     #[test]
